@@ -4,8 +4,9 @@
 //! DRAM; each query thread traverses with an explicit SRAM stack and counts
 //! leaf points inside its rectangle with a vectorized `foreach` reduction —
 //! the Fig. 11 pattern of folding many comparisons into lanes. (The paper's
-//! fork-per-child expansion is replaced by the stack; the fork construct is
-//! exercised by the hierarchy-elimination path instead — see DESIGN.md.)
+//! fork-per-child expansion is replaced by the stack, which keeps the
+//! per-thread state bounded; the fork construct is exercised by the
+//! hierarchy-elimination path instead.)
 
 use crate::{gen, App, Workload};
 use rand::Rng;

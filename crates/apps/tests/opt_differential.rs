@@ -102,17 +102,17 @@ fn interp_drams(app: &App) -> (Vec<u8>, Vec<u8>) {
 /// recompute into a *free use*, which `lower_while` must thread through
 /// the recirculating loop tuple on every iteration — wider pack/unpack
 /// nodes, an extra `while_out` reorder stage, and a double-digit step
-/// regression on the ready-set executor. The fix (`while` sub-regions
+/// regression under per-node dispatch. The fix (`while` sub-regions
 /// inherit no availability, plus the `sink_consts` pass) is pinned here
 /// from three angles:
 ///
-/// 1. the dense executor's *productive* steps — real work, independent
-///    of scheduling — must not increase at -O2;
-/// 2. the planned executor's dispatch count must be identical at -O0
-///    and -O2 (fused segments absorb dispatch granularity entirely);
-/// 3. the ready-set (interpreted) executor must not regress at -O2.
+/// 1. the unfused plan's *productive* steps — node steps that moved
+///    tokens, i.e. real work — must not increase at -O2;
+/// 2. the fused plan's dispatch count must be identical at -O0 and -O2
+///    (fused segments absorb dispatch granularity entirely);
+/// 3. the unfused plan's attempted steps must not regress at -O2.
 ///
-/// Any residual ready-set delta between apps is dispatch-granularity
+/// Any residual unfused-step delta between apps is dispatch-granularity
 /// noise, not real work — (1) and (2) are the load-bearing assertions.
 #[test]
 fn while_heavy_apps_do_not_regress_under_opt() {
@@ -122,19 +122,20 @@ fn while_heavy_apps_do_not_regress_under_opt() {
         }
         let metrics = |level: u8| {
             let opts = opts_at(level);
-            let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
-            let planned = p.run_untimed(&args, 200_000_000).unwrap();
-            let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
-            let ready = p.run_untimed_interpreted(&args, 200_000_000).unwrap();
-            let (mut p, args, _w) = app.prepare(2, 12, SEED, &opts);
-            let dense = p.run_untimed_dense(&args, 200_000_000).unwrap();
-            (planned.steps, ready.steps, dense.productive_steps)
+            let (p, args, _w) = app.prepare(2, 12, SEED, &opts);
+            let planned = p.instance().run_untimed(&args, 200_000_000).unwrap();
+            let unfused = p
+                .instance()
+                .unfused()
+                .run_untimed(&args, 200_000_000)
+                .unwrap();
+            (planned.steps, unfused.steps, unfused.productive_steps)
         };
-        let (planned0, ready0, work0) = metrics(0);
-        let (planned2, ready2, work2) = metrics(2);
+        let (planned0, unfused0, work0) = metrics(0);
+        let (planned2, unfused2, work2) = metrics(2);
         assert!(
             work2 <= work0,
-            "{}: -O2 must not increase dense productive steps ({work2} > {work0})",
+            "{}: -O2 must not increase unfused productive steps ({work2} > {work0})",
             app.name
         );
         assert_eq!(
@@ -143,8 +144,8 @@ fn while_heavy_apps_do_not_regress_under_opt() {
             app.name
         );
         assert!(
-            ready2 <= ready0,
-            "{}: -O2 must not regress ready-set steps ({ready2} > {ready0})",
+            unfused2 <= unfused0,
+            "{}: -O2 must not regress unfused steps ({unfused2} > {unfused0})",
             app.name
         );
     }

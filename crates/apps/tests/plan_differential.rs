@@ -1,7 +1,8 @@
 //! Differential correctness for the compiled execution plan: on every
-//! Table III app, the [`ExecPlan`] fast path must be observationally
-//! identical to the interpreted ready-set executor — the full final DRAM
-//! image and the `main` sink's token stream, bit-for-bit. The graphs are
+//! Table III app, the fused `ExecPlan` fast path must be observationally
+//! identical to the all-boxed ("interpreted") plan of the same graph
+//! (`ProgramInstance::unfused`) — the full final DRAM image and the
+//! `main` sink's token stream, bit-for-bit. The graphs are
 //! Kahn process networks, so any divergence there is an executor bug,
 //! never legal schedule nondeterminism. (Allocator free-list order and
 //! allocator-indexed SRAM scratch *are* schedule-dependent — the alloc
@@ -27,21 +28,21 @@ fn check_app_at(app: &App, level: u8) {
         .run_untimed(&args, MAX_ROUNDS)
         .unwrap_or_else(|e| panic!("{} (O{level}, planned): {e}", app.name));
 
-    let mut interp = program.instance();
+    let mut interp = program.instance().unfused();
     let i_report = interp
-        .run_untimed_interpreted(&args, MAX_ROUNDS)
+        .run_untimed(&args, MAX_ROUNDS)
         .unwrap_or_else(|e| panic!("{} (O{level}, interpreted): {e}", app.name));
 
     assert_eq!(
         planned.sink_tokens(),
         interp.sink_tokens(),
-        "{} (O{level}): sink stream must match the interpreted executor",
+        "{} (O{level}): sink stream must match the unfused plan",
         app.name
     );
     assert_eq!(
         planned.memory().dram,
         interp.memory().dram,
-        "{} (O{level}): full DRAM image must match the interpreted executor",
+        "{} (O{level}): full DRAM image must match the unfused plan",
         app.name
     );
     // Both outputs must also be *correct*, not merely identical: replay

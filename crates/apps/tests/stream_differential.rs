@@ -2,7 +2,8 @@
 //! argument sets one at a time through a [`StreamInstance`] — polling the
 //! resumable executor to quiescence between chunks — must be bit-identical
 //! (sink token stream and full DRAM image) to a one-shot session given all
-//! K argsets up front, at O0 and O2 and on both executors. The DRAM image
+//! K argsets up front, at O0 and O2 and on both the fused and the unfused
+//! plan. The DRAM image
 //! must also pass the app's own oracle: repeated argsets re-run `main`
 //! with the same inputs, and every app's writes are idempotent, so the
 //! workload's expected image stays valid however many times it is fed.
@@ -33,7 +34,7 @@ fn chunked_feed_matches_one_shot_on_all_apps() {
                 .unwrap_or_else(|e| panic!("{} (O{level}, one-shot): {e}", app.name));
             app.check_dram(&reference.memory.dram, &w);
 
-            for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
+            for executor in [StreamExecutor::Planned, StreamExecutor::Unfused] {
                 let mut stream = program.stream(executor);
                 let mut deltas = Vec::new();
                 for args in &argsets {

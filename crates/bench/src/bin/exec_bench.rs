@@ -1,24 +1,25 @@
 //! Executor + optimizer benchmark over the eight Table III apps.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Optimizer effect** — every app compiles twice, classical
 //!    optimizations off (`--opt-level 0` equivalent) and at the default
-//!    level 2, and runs on the *interpreted* ready-set executor (whose
-//!    step counts are comparable across opt levels); reports MIR op
-//!    counts, context/link counts, and executor steps for both while
+//!    level 2, and runs on the *unfused* plan
+//!    ([`revet_machine::ExecPlan::build_unfused`], one dispatch per node
+//!    step, so step counts are comparable across opt levels); reports MIR
+//!    op counts, context/link counts, and executor steps for both while
 //!    asserting bit-identical DRAM — the optimizer must never change
 //!    results.
-//! 2. **Plan vs interpreter** — at the default opt level, every app runs
-//!    through the compiled [`revet_machine::ExecPlan`] fast path and the interpreted
-//!    reference, asserting bit-identical DRAM between the two, and
-//!    measures wall-clock step rate (steps/sec) and whole-run throughput
-//!    (instances/sec, including per-instance graph cloning — the
-//!    `revet-serve` cost model). `plan speedup` is the ratio of
-//!    execution-only wall time per instance (interpreted / planned):
-//!    how much faster the plan retires the *same work*.
-//! 3. The ready-set vs dense-sweep scheduler comparison retained from
-//!    the original harness.
+//! 2. **Fused vs unfused plan** — at the default opt level, every app
+//!    runs through the compiled, fused [`revet_machine::ExecPlan`] and the
+//!    unfused reference, asserting bit-identical DRAM between the two, and
+//!    measures whole-run throughput (instances/sec, including
+//!    per-instance graph cloning — the `revet-serve` cost model).
+//!    `plan speedup` is the ratio of execution-only wall time per
+//!    instance (unfused / fused): how much faster fusion retires the
+//!    *same work*. Step counts are printed but never turned into rates: a
+//!    fused segment counts as one step, so step rates are not comparable
+//!    across the two plans.
 //!
 //! Usage:
 //! `cargo run --release -p revet-bench --bin exec_bench \
@@ -34,10 +35,11 @@
 
 use criterion::{black_box, Criterion};
 use revet_apps::{all_apps, App};
-use revet_bench::prepare_app;
+use revet_bench::{prepare_app, PreparedApp};
 use revet_core::{PassOptions, Session};
-use revet_machine::ExecReport;
+use revet_machine::{ExecPlan, ExecReport};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Static + dynamic measurements for one app at one opt level.
@@ -48,10 +50,9 @@ struct Side {
     steps: u64,
 }
 
-/// Wall-clock measurements for one executor mode at the default level.
+/// Wall-clock measurements for one plan at the default level.
 struct Rate {
     steps: u64,
-    steps_per_sec: f64,
     instances_per_sec: f64,
     /// Execution-only seconds per instance (graph cloning excluded).
     exec_per_instance: f64,
@@ -62,14 +63,14 @@ struct Row {
     unopt: Side,
     opt: Side,
     planned: Rate,
-    interp: Rate,
+    unfused: Rate,
 }
 
 impl Row {
-    /// Execution-only wall-clock speedup of the plan over the
-    /// interpreter on identical work (same program, same inputs).
+    /// Execution-only wall-clock speedup of the fused plan over the
+    /// unfused one on identical work (same program, same inputs).
     fn plan_speedup(&self) -> f64 {
-        self.interp.exec_per_instance / self.planned.exec_per_instance
+        self.unfused.exec_per_instance / self.planned.exec_per_instance
     }
 }
 
@@ -92,17 +93,22 @@ fn mir_ops(app: &App, outer: u32, level: u8) -> usize {
         .op_count()
 }
 
-/// Compiles and runs `app` on the interpreted executor at `level`;
-/// returns the measurements and the final DRAM image (for the
-/// bit-identical cross-check). Interpreted steps are the comparable
-/// dynamic metric across opt levels — planned dispatch counts depend on
-/// how many nodes fused into each segment.
-fn measure(app: &App, scale: usize, level: u8) -> (Side, Vec<u8>) {
+/// Prepares `app` at `level` with its plan swapped for the unfused one
+/// (instances taken from it run every node boxed).
+fn prepare_unfused(app: &App, scale: usize, level: u8) -> PreparedApp {
     let mut p = prepare_app(app, revet_bench::DEFAULT_OUTER, scale, &opts_at(level));
-    let report: ExecReport = p
-        .program
-        .run_untimed_interpreted(&p.args, 200_000_000)
-        .unwrap();
+    p.program.plan = Arc::new(ExecPlan::build_unfused(&p.program.graph));
+    p
+}
+
+/// Compiles and runs `app` on the unfused plan at `level`; returns the
+/// measurements and the final DRAM image (for the bit-identical
+/// cross-check). Unfused steps are the comparable dynamic metric across
+/// opt levels — fused dispatch counts depend on how many nodes fused into
+/// each segment.
+fn measure(app: &App, scale: usize, level: u8) -> (Side, Vec<u8>) {
+    let mut p = prepare_unfused(app, scale, level);
+    let report: ExecReport = p.program.run_untimed(&p.args, 200_000_000).unwrap();
     app.check(&p.program, &p.workload);
     let side = Side {
         mir_ops: mir_ops(app, revet_bench::DEFAULT_OUTER, level),
@@ -113,45 +119,37 @@ fn measure(app: &App, scale: usize, level: u8) -> (Side, Vec<u8>) {
     (side, p.program.graph.mem.dram.clone())
 }
 
-/// One timed run of one executor mode: instantiates the compiled
-/// program and runs it to quiescence, returning the report, the
-/// clone+run wall time, the run-only wall time, and the final DRAM.
-fn one_run(
-    p: &revet_bench::PreparedApp,
-    planned: bool,
-) -> (ExecReport, Duration, Duration, Vec<u8>) {
+/// One timed run: instantiates the compiled program and runs it to
+/// quiescence on the plan it carries, returning the report, the clone+run
+/// wall time, the run-only wall time, and the final DRAM.
+fn one_run(p: &PreparedApp) -> (ExecReport, Duration, Duration, Vec<u8>) {
     let t0 = Instant::now();
     let mut inst = p.program.instance();
     let t1 = Instant::now();
-    let r = if planned {
-        inst.run_untimed(&p.args, 200_000_000)
-    } else {
-        inst.run_untimed_interpreted(&p.args, 200_000_000)
-    }
-    .unwrap();
+    let r = inst.run_untimed(&p.args, 200_000_000).unwrap();
     let exec = t1.elapsed();
     (r, t0.elapsed(), exec, inst.into_memory().dram)
 }
 
-/// Times both executor modes at the default opt level, *interleaved*
-/// round-robin so machine-load swings hit both modes equally, and using
-/// the **minimum** observed per-run time — the standard noise-robust
-/// estimator for short benchmarks. `steps_per_sec` uses run-only time;
-/// `instances_per_sec` also charges the per-instance graph clone (the
-/// serve-style cost model). Also returns both final DRAM images for the
-/// bit-identical cross-check.
-fn time_modes(p: &revet_bench::PreparedApp) -> (Rate, Rate, Vec<u8>, Vec<u8>) {
+/// Times the fused (`fused`) and unfused (`unfused`) preparations of one
+/// app, *interleaved* round-robin so machine-load swings hit both plans
+/// equally, and using the **minimum** observed per-run time — the
+/// standard noise-robust estimator for short benchmarks.
+/// `exec_per_instance` uses run-only time; `instances_per_sec` also
+/// charges the per-instance graph clone (the serve-style cost model).
+/// Also returns both final DRAM images for the bit-identical cross-check.
+fn time_plans(fused: &PreparedApp, unfused: &PreparedApp) -> (Rate, Rate, Vec<u8>, Vec<u8>) {
     const MIN_ROUNDS: u32 = 5;
     const MIN_ELAPSED: Duration = Duration::from_millis(600);
     let mut rounds = 0u32;
-    // Per mode: (min clone+run, min run-only, steps).
+    // Per plan: (min clone+run, min run-only, steps).
     let mut best = [(Duration::MAX, Duration::MAX, 0u64); 2];
-    let (dram_p, dram_i);
+    let (dram_f, dram_u);
     let start = Instant::now();
     loop {
-        let (rp, tp, ep, dp) = one_run(p, true);
-        let (ri, ti, ei, di) = one_run(p, false);
-        for (slot, (r, total, exec)) in [(0, (rp, tp, ep)), (1, (ri, ti, ei))] {
+        let (rf, tf, ef, df) = one_run(fused);
+        let (ru, tu, eu, du) = one_run(unfused);
+        for (slot, (r, total, exec)) in [(0, (rf, tf, ef)), (1, (ru, tu, eu))] {
             let b = &mut best[slot];
             b.0 = b.0.min(total);
             b.1 = b.1.min(exec);
@@ -159,40 +157,17 @@ fn time_modes(p: &revet_bench::PreparedApp) -> (Rate, Rate, Vec<u8>, Vec<u8>) {
         }
         rounds += 1;
         if start.elapsed() >= MIN_ELAPSED && rounds >= MIN_ROUNDS {
-            dram_p = dp;
-            dram_i = di;
+            dram_f = df;
+            dram_u = du;
             break;
         }
     }
     let rate = |b: (Duration, Duration, u64)| Rate {
         steps: b.2,
-        steps_per_sec: b.2 as f64 / b.1.as_secs_f64(),
         instances_per_sec: 1.0 / b.0.as_secs_f64(),
         exec_per_instance: b.1.as_secs_f64(),
     };
-    (rate(best[0]), rate(best[1]), dram_p, dram_i)
-}
-
-// The scheduler comparison runs with classical optimizations off so its
-// numbers stay comparable with the pre-optimizer harness. Its invariant
-// (the ready set does strictly fewer scheduler steps than the dense sweep
-// on the same graph) holds at the default scale and above; very small
-// scales can put the dense node×round product below the ready set's
-// productive firing count.
-fn run_ready(app: &App, scale: usize) -> (ExecReport, usize) {
-    let mut p = prepare_app(app, revet_bench::DEFAULT_OUTER, scale, &opts_at(0));
-    let nodes = p.program.graph.node_count();
-    (
-        p.program
-            .run_untimed_interpreted(&p.args, 200_000_000)
-            .unwrap(),
-        nodes,
-    )
-}
-
-fn run_dense(app: &App, scale: usize) -> ExecReport {
-    let mut p = prepare_app(app, revet_bench::DEFAULT_OUTER, scale, &opts_at(0));
-    p.program.run_untimed_dense(&p.args, 200_000_000).unwrap()
+    (rate(best[0]), rate(best[1]), dram_f, dram_u)
 }
 
 fn json_escape_free(s: &str) -> &str {
@@ -203,7 +178,7 @@ fn json_escape_free(s: &str) -> &str {
 fn rows_to_json(rows: &[Row], scale: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": 2,");
+    let _ = writeln!(out, "  \"schema_version\": 3,");
     let _ = writeln!(out, "  \"scale\": {scale},");
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -214,9 +189,8 @@ fn rows_to_json(rows: &[Row], scale: usize) -> String {
              \"contexts_o0\": {}, \"contexts_o2\": {}, \
              \"links_o0\": {}, \"links_o2\": {}, \
              \"steps_o0\": {}, \"steps_o2\": {}, \
-             \"planned_steps\": {}, \"interp_steps\": {}, \
-             \"planned_steps_per_sec\": {:.0}, \"interp_steps_per_sec\": {:.0}, \
-             \"planned_instances_per_sec\": {:.2}, \"interp_instances_per_sec\": {:.2}, \
+             \"planned_steps\": {}, \"unfused_steps\": {}, \
+             \"planned_instances_per_sec\": {:.2}, \"unfused_instances_per_sec\": {:.2}, \
              \"plan_speedup\": {:.3}}}",
             json_escape_free(r.name),
             r.unopt.mir_ops,
@@ -228,11 +202,9 @@ fn rows_to_json(rows: &[Row], scale: usize) -> String {
             r.unopt.steps,
             r.opt.steps,
             r.planned.steps,
-            r.interp.steps,
-            r.planned.steps_per_sec,
-            r.interp.steps_per_sec,
+            r.unfused.steps,
             r.planned.instances_per_sec,
-            r.interp.instances_per_sec,
+            r.unfused.instances_per_sec,
             r.plan_speedup(),
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -241,7 +213,7 @@ fn rows_to_json(rows: &[Row], scale: usize) -> String {
     out
 }
 
-/// Extracts `(app, plan_speedup)` pairs from a schema-2 artifact without
+/// Extracts `(app, plan_speedup)` pairs from an artifact without
 /// a JSON dependency: the writer above emits one row per line, so a line
 /// scan for the two keys is exact on our own output.
 fn parse_baseline(text: &str) -> Vec<(String, f64)> {
@@ -279,7 +251,7 @@ fn main() {
         }
     }
 
-    println!("=== Optimizer effect: --opt-level 0 vs 2, interpreted (scale={scale}) ===");
+    println!("=== Optimizer effect: --opt-level 0 vs 2, unfused plan (scale={scale}) ===");
     println!(
         "{:<12} {:>8} {:>8} {:>7} {:>9} {:>9} {:>7} {:>7} {:>12} {:>12}",
         "app",
@@ -327,26 +299,21 @@ fn main() {
         sides.len()
     );
 
-    println!("\n=== Execution plan vs interpreter, default level (scale={scale}) ===");
+    println!("\n=== Fused vs unfused plan, default level (scale={scale}) ===");
     println!(
-        "{:<12} {:>10} {:>10} {:>12} {:>12} {:>9} {:>9} {:>8}",
-        "app",
-        "plan stp",
-        "intp stp",
-        "plan stp/s",
-        "intp stp/s",
-        "plan i/s",
-        "intp i/s",
-        "speedup"
+        "{:<12} {:>6} {:>10} {:>10} {:>9} {:>9} {:>8}",
+        "app", "nodes", "fused stp", "unfus stp", "fused i/s", "unfus i/s", "speedup"
     );
     let mut rows = Vec::new();
     let mut faster = 0usize;
+    let mut largest: Option<(usize, App)> = None;
     for (app, unopt, opt) in sides {
-        let p = prepare_app(&app, revet_bench::DEFAULT_OUTER, scale, &opts_at(2));
-        let (planned, interp, dram_p, dram_i) = time_modes(&p);
+        let fused = prepare_app(&app, revet_bench::DEFAULT_OUTER, scale, &opts_at(2));
+        let unfused = prepare_unfused(&app, scale, 2);
+        let (planned, unfused, dram_f, dram_u) = time_plans(&fused, &unfused);
         assert_eq!(
-            dram_p, dram_i,
-            "{}: planned run must leave bit-identical DRAM vs interpreted",
+            dram_f, dram_u,
+            "{}: fused run must leave bit-identical DRAM vs unfused",
             app.name
         );
         let row = Row {
@@ -354,26 +321,29 @@ fn main() {
             unopt,
             opt,
             planned,
-            interp,
+            unfused,
         };
         if row.plan_speedup() >= 1.5 {
             faster += 1;
         }
+        let nodes = fused.program.graph.node_count();
         println!(
-            "{:<12} {:>10} {:>10} {:>12.2e} {:>12.2e} {:>9.1} {:>9.1} {:>7.2}x",
+            "{:<12} {:>6} {:>10} {:>10} {:>9.1} {:>9.1} {:>7.2}x",
             row.name,
+            nodes,
             row.planned.steps,
-            row.interp.steps,
-            row.planned.steps_per_sec,
-            row.interp.steps_per_sec,
+            row.unfused.steps,
             row.planned.instances_per_sec,
-            row.interp.instances_per_sec,
+            row.unfused.instances_per_sec,
             row.plan_speedup(),
         );
         rows.push(row);
+        if largest.as_ref().is_none_or(|(n, _)| nodes > *n) {
+            largest = Some((nodes, app));
+        }
     }
     println!(
-        "\n{faster}/{} apps execute >=1.5x faster through the plan",
+        "\n{faster}/{} apps execute >=1.5x faster through the fused plan",
         rows.len()
     );
 
@@ -414,54 +384,22 @@ fn main() {
         }
     }
 
-    println!("\n=== Untimed executor: ready-set vs dense sweep (scale={scale}) ===");
-    println!(
-        "{:<12} {:>6} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "app", "nodes", "ready steps", "dense steps", "r-ratio", "d-ratio", "work x"
-    );
-    let mut largest: Option<(usize, App)> = None;
-    for app in all_apps() {
-        let (ready, nodes) = run_ready(&app, scale);
-        let dense = run_dense(&app, scale);
-        // The ready set does less work *per round*; on workloads whose
-        // productive firing count is close to the dense node×round product
-        // (token-serial apps like huff-dec at large scales) the totals can
-        // invert — flag those rows instead of aborting the whole harness.
-        let marker = if ready.steps < dense.steps { " " } else { "!" };
-        println!(
-            "{marker}{:<11} {:>6} {:>12} {:>12} {:>8.3} {:>8.3} {:>7.1}x",
-            app.name,
-            nodes,
-            ready.steps,
-            dense.steps,
-            ready.productive_ratio(),
-            dense.productive_ratio(),
-            dense.steps as f64 / ready.steps.max(1) as f64,
-        );
-        if largest.as_ref().is_none_or(|(n, _)| nodes > *n) {
-            largest = Some((nodes, app));
-        }
-    }
-
     if !criterion {
         return;
     }
-    // Criterion timing on the largest evaluation app graph (compile + load
-    // are inside the loop — CompiledProgram is consumed by a run — so the
-    // two measurements differ only in the executor).
+    // Criterion timing on the largest evaluation app graph: instance
+    // clone + run, so the two measurements differ only in the plan.
     let (nodes, app) = largest.expect("app registry is not empty");
     println!(
         "\n=== Wall-clock, largest app graph: {} ({nodes} nodes) ===",
         app.name
     );
+    let fused = prepare_app(&app, revet_bench::DEFAULT_OUTER, scale, &opts_at(2));
+    let unfused = prepare_unfused(&app, scale, 2);
     let mut c = Criterion::default().configure_from_args();
     let mut group = c.benchmark_group("untimed_exec");
     group.sample_size(10);
-    group.bench_function("ready_set", |b| {
-        b.iter(|| black_box(run_ready(&app, scale)))
-    });
-    group.bench_function("dense_sweep", |b| {
-        b.iter(|| black_box(run_dense(&app, scale)))
-    });
+    group.bench_function("fused_plan", |b| b.iter(|| black_box(one_run(&fused))));
+    group.bench_function("unfused_plan", |b| b.iter(|| black_box(one_run(&unfused))));
     group.finish();
 }

@@ -1,8 +1,8 @@
 //! # revet-bench — harnesses regenerating the paper's tables and figures
 //!
-//! One driver per experiment (DESIGN.md §3). Each driver returns structured
+//! One driver per paper table or figure. Each driver returns structured
 //! rows and a formatted table so the same code backs the `table*`/`fig*`
-//! binaries, the Criterion benches, and EXPERIMENTS.md.
+//! binaries and the Criterion benches.
 //!
 //! Scales are configurable: the defaults keep `cargo bench` minutes-fast;
 //! absolute GB/s therefore differ from the paper (whose runs used

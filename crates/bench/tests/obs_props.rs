@@ -2,8 +2,8 @@
 //!
 //! 1. The obs sink's dispatch counter — and the number of `NodeDispatch`
 //!    events in the trace ring — equal the `ExecReport::steps` the
-//!    executor itself reports, on all eight Table III apps (planned and
-//!    interpreted executors) and on random scheduler-equivalence DAGs.
+//!    executor itself reports, on all eight Table III apps (fused and
+//!    unfused plans) and on random scheduler-equivalence DAGs.
 //!    The trace is an *account* of the run, not a sample of it.
 //! 2. Per-worker sinks forked by `BatchRunner::run_obs` and merged after
 //!    the join aggregate to exactly the counters a single-threaded run
@@ -14,9 +14,12 @@ use revet_apps::all_apps;
 use revet_core::PassOptions;
 use revet_machine::instr::{AluOp, EwInstr, Operand};
 use revet_machine::nodes::{EwNode, OutputSpec, SinkNode, SourceNode};
-use revet_machine::{tbar, tdata, Channel, ExecPlan, Graph, MemoryState, TTok};
+use revet_machine::{
+    tbar, tdata, Channel, ExecPlan, ExecReport, Graph, MemoryState, ResumeState, RunStatus, TTok,
+};
 use revet_obs::{EventKind, ObsSink};
-use revet_runtime::{BatchRunner, ExecMode};
+use revet_runtime::BatchRunner;
+use std::sync::Arc;
 
 const OUTER: u32 = 2;
 const SCALE: usize = 8;
@@ -55,34 +58,34 @@ fn dispatch_events(obs: &ObsSink) -> (u64, u64) {
     (total, productive)
 }
 
-/// On every evaluation app, for both executors: the sink's counters and
-/// the trace ring agree exactly with the `ExecReport`.
+/// On every evaluation app, for both plans: the sink's counters and the
+/// trace ring agree exactly with the `ExecReport`.
 #[test]
 fn trace_dispatch_counts_match_exec_report_on_all_apps() {
     for a in all_apps() {
         let (program, args, w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
-        for interpreted in [false, true] {
+        for unfused in [false, true] {
             let obs = ObsSink::with_trace_capacity(TRACE_CAP);
             let mut inst = program.instance();
-            let report = if interpreted {
-                inst.run_untimed_interpreted_obs(&args, MAX_ROUNDS, &obs)
-            } else {
-                inst.run_untimed_obs(&args, MAX_ROUNDS, &obs)
+            if unfused {
+                inst = inst.unfused();
             }
-            .unwrap_or_else(|e| panic!("{}: {e}", a.name));
+            let report = inst
+                .run_untimed_obs(&args, MAX_ROUNDS, &obs)
+                .unwrap_or_else(|e| panic!("{}: {e}", a.name));
             a.check_dram(&inst.memory().dram, &w);
 
             assert_eq!(obs.trace_dropped(), 0, "{}: ring too small", a.name);
             assert_eq!(
                 obs.counters.dispatches.get(),
                 report.steps,
-                "{} (interpreted={interpreted}): dispatch counter vs report.steps",
+                "{} (unfused={unfused}): dispatch counter vs report.steps",
                 a.name
             );
             assert_eq!(
                 obs.counters.productive.get(),
                 report.productive_steps,
-                "{} (interpreted={interpreted})",
+                "{} (unfused={unfused})",
                 a.name
             );
             assert_eq!(obs.counters.rounds.get(), report.rounds, "{}", a.name);
@@ -95,7 +98,7 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
             let (traced, traced_productive) = dispatch_events(&obs);
             assert_eq!(
                 traced, report.steps,
-                "{} (interpreted={interpreted}): traced NodeDispatch events vs report.steps",
+                "{} (unfused={unfused}): traced NodeDispatch events vs report.steps",
                 a.name
             );
             assert_eq!(traced_productive, report.productive_steps, "{}", a.name);
@@ -108,24 +111,22 @@ fn trace_dispatch_counts_match_exec_report_on_all_apps() {
 #[test]
 fn merged_worker_counters_equal_single_threaded_on_all_apps() {
     for a in all_apps() {
-        let (program, args, _w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
+        let (mut program, args, _w) = a.prepare(OUTER, SCALE, SEED, &PassOptions::default());
         let argsets: Vec<Vec<revet_sltf::Word>> = (0..6).map(|_| args.clone()).collect();
-        for mode in [ExecMode::Planned, ExecMode::Interpreted] {
+        for unfused in [false, true] {
+            if unfused {
+                program.plan = Arc::new(ExecPlan::build_unfused(&program.graph));
+            }
             let solo_obs = ObsSink::counters_only();
-            let solo = BatchRunner::new(1)
-                .with_mode(mode)
-                .run_same_obs(&program, &argsets, &solo_obs);
+            let solo = BatchRunner::new(1).run_same_obs(&program, &argsets, &solo_obs);
             let pooled_obs = ObsSink::counters_only();
-            let pooled =
-                BatchRunner::new(4)
-                    .with_mode(mode)
-                    .run_same_obs(&program, &argsets, &pooled_obs);
+            let pooled = BatchRunner::new(4).run_same_obs(&program, &argsets, &pooled_obs);
             assert_eq!(solo.ok_count(), 6, "{}", a.name);
             assert_eq!(pooled.ok_count(), 6, "{}", a.name);
             assert_eq!(
                 deterministic_counters(&solo_obs),
                 deterministic_counters(&pooled_obs),
-                "{} ({mode:?}): forked+merged counters diverged from sequential",
+                "{} (unfused={unfused}): forked+merged counters diverged from sequential",
                 a.name
             );
             assert_eq!(solo_obs.counters.instances.get(), 6, "{}", a.name);
@@ -251,11 +252,18 @@ fn build(values: &[u32], moves: &[u32]) -> Graph {
     g
 }
 
+/// One-shot run that must drain cleanly (generated DAGs never deadlock).
+fn run_once(plan: &ExecPlan, g: &mut Graph, obs: &ObsSink) -> ExecReport {
+    let (report, status) = plan.run(g, &mut ResumeState::new(), 100_000, obs).unwrap();
+    assert_eq!(status, RunStatus::Finished);
+    report
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On random DAGs, both the event-driven executor and the compiled
-    /// plan keep the sink and the report in exact agreement: dispatch
+    /// On random DAGs, both the unfused and the fused plan keep the sink
+    /// and the report in exact agreement: dispatch
     /// counter == traced NodeDispatch events == report.steps, and the
     /// productive / rounds / peak-ready views match too.
     #[test]
@@ -263,10 +271,10 @@ proptest! {
         values in prop::collection::vec(0u32..100, 0..14),
         moves in prop::collection::vec(0u32..3_000_000, 0..18),
     ) {
-        // Event-driven ready-set executor.
+        // All-boxed plan.
         let mut g = build(&values, &moves);
         let obs = ObsSink::with_trace_capacity(TRACE_CAP);
-        let report = g.run_untimed_obs(100_000, &obs).unwrap();
+        let report = run_once(&ExecPlan::build_unfused(&g), &mut g, &obs);
         prop_assert_eq!(obs.trace_dropped(), 0);
         prop_assert_eq!(obs.counters.dispatches.get(), report.steps);
         prop_assert_eq!(obs.counters.productive.get(), report.productive_steps);
@@ -276,11 +284,10 @@ proptest! {
         prop_assert_eq!(traced, report.steps);
         prop_assert_eq!(traced_productive, report.productive_steps);
 
-        // Compiled execution plan over an identical graph.
+        // Fused plan over an identical graph.
         let mut pg = build(&values, &moves);
-        let plan = ExecPlan::build(&pg);
         let pobs = ObsSink::with_trace_capacity(TRACE_CAP);
-        let preport = pg.run_untimed_planned_obs(&plan, 100_000, &pobs).unwrap();
+        let preport = run_once(&ExecPlan::build(&pg), &mut pg, &pobs);
         prop_assert_eq!(pobs.trace_dropped(), 0);
         prop_assert_eq!(pobs.counters.dispatches.get(), preport.steps);
         prop_assert_eq!(pobs.counters.productive.get(), preport.productive_steps);

@@ -10,7 +10,7 @@
 //! sink buffer, so any number of instances of one compile can run
 //! concurrently (see the `revet-runtime` crate's `BatchRunner`).
 
-use crate::lower::CompiledProgram;
+use crate::lower::{run_once, CompiledProgram};
 use crate::CoreError;
 use revet_machine::nodes::SinkHandle;
 use revet_machine::{ChanId, ExecPlan, ExecReport, Graph, MachineError, MemoryState, TTok};
@@ -39,8 +39,8 @@ const _: fn() = || {
 
 impl ProgramInstance {
     /// Runs this instance to quiescence with the given `main` arguments,
-    /// through the compiled execution plan (shared, like the topology
-    /// index, by all instances of one compile).
+    /// through its execution plan (by default the compiled plan, shared
+    /// like the topology index by all instances of one compile).
     ///
     /// # Errors
     ///
@@ -67,49 +67,28 @@ impl ProgramInstance {
         obs: &revet_obs::ObsSink,
     ) -> Result<ExecReport, MachineError> {
         self.publish_labels(obs);
-        crate::lower::inject_args(&mut self.graph, self.entry, args);
-        let plan = Arc::clone(&self.plan);
-        let report = self.graph.run_untimed_planned_obs(&plan, max_rounds, obs);
+        let report = run_once(
+            &mut self.graph,
+            self.entry,
+            &self.plan,
+            args,
+            max_rounds,
+            obs,
+        );
         if report.is_ok() && obs.is_enabled() {
             obs.counters.instances.inc();
         }
         report
     }
 
-    /// Like [`ProgramInstance::run_untimed`] but on the interpreted
-    /// event-driven executor — the functional reference the plan is
-    /// differential-tested against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_interpreted(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        self.run_untimed_interpreted_obs(args, max_rounds, revet_obs::ObsSink::noop())
-    }
-
-    /// [`ProgramInstance::run_untimed_interpreted`] with an observability
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProgramInstance::run_untimed_interpreted`].
-    pub fn run_untimed_interpreted_obs(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-        obs: &revet_obs::ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        self.publish_labels(obs);
-        crate::lower::inject_args(&mut self.graph, self.entry, args);
-        let report = self.graph.run_untimed_obs(max_rounds, obs);
-        if report.is_ok() && obs.is_enabled() {
-            obs.counters.instances.inc();
-        }
-        report
+    /// Re-targets this instance onto the all-boxed plan of its own wiring
+    /// ([`ExecPlan::build_unfused`]): every node is stepped through its
+    /// boxed behavior. The differential reference the fused plan is tested
+    /// and benchmarked against; results are bit-identical.
+    #[must_use]
+    pub fn unfused(mut self) -> Self {
+        self.plan = Arc::new(ExecPlan::build_unfused(&self.graph));
+        self
     }
 
     pub(crate) fn publish_labels(&self, obs: &revet_obs::ObsSink) {

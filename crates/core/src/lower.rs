@@ -29,7 +29,10 @@ use revet_machine::nodes::{
     BroadcastNode, CounterNode, EwNode, FbMergeNode, FlattenNode, ForkNode, FwdMergeNode,
     OutputSpec, ReduceNode, SinkNode,
 };
-use revet_machine::{ChanId, Channel, ExecPlan, Graph, LinkClass, UnitClass};
+use revet_machine::{
+    ChanId, Channel, ExecPlan, ExecReport, Graph, LinkClass, MachineError, ResumeState, RunStatus,
+    UnitClass,
+};
 use revet_mir::{DramLayout, Func, Module, Op, OpKind, Region, Ty, Value};
 use revet_sltf::Word;
 use std::collections::{HashMap, HashSet};
@@ -111,9 +114,8 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Runs the program to quiescence with the given `main` arguments,
-    /// through the compiled execution plan (the fused fast path; falls
-    /// back to boxed node stepping for non-lowered kinds). DRAM inputs
-    /// should be written into `self.graph.mem.dram` first.
+    /// through its execution plan (`self.plan`). DRAM inputs should be
+    /// written into `self.graph.mem.dram` first.
     ///
     /// # Errors
     ///
@@ -122,48 +124,15 @@ impl CompiledProgram {
         &mut self,
         args: &[Word],
         max_rounds: u64,
-    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
-        self.inject_args(args);
-        let plan = Arc::clone(&self.plan);
-        self.graph.run_untimed_planned(&plan, max_rounds)
-    }
-
-    /// Like [`CompiledProgram::run_untimed`] but on the interpreted
-    /// event-driven executor (boxed `dyn Node` stepping for every node) —
-    /// the functional reference the plan is benchmarked and
-    /// differential-tested against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_interpreted(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
-        self.inject_args(args);
-        self.graph.run_untimed(max_rounds)
-    }
-
-    /// Like [`CompiledProgram::run_untimed`] but using the retained
-    /// dense-sweep reference executor — for scheduler-equivalence checks
-    /// and the executor benchmark; prefer `run_untimed` everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine protocol errors and deadlock diagnoses.
-    pub fn run_untimed_dense(
-        &mut self,
-        args: &[Word],
-        max_rounds: u64,
-    ) -> Result<revet_machine::ExecReport, revet_machine::MachineError> {
-        self.inject_args(args);
-        self.graph.run_untimed_dense(max_rounds)
-    }
-
-    /// Injects the `main` argument thread: one data tuple closed by Ω1.
-    fn inject_args(&mut self, args: &[Word]) {
-        inject_args(&mut self.graph, self.entry, args);
+    ) -> Result<ExecReport, MachineError> {
+        run_once(
+            &mut self.graph,
+            self.entry,
+            &self.plan,
+            args,
+            max_rounds,
+            revet_obs::ObsSink::noop(),
+        )
     }
 
     /// The number of contexts (Table IV's unit counts derive from this).
@@ -177,14 +146,27 @@ impl CompiledProgram {
     }
 }
 
-/// Injects the `main` argument thread into a program graph's entry
-/// channel: one data tuple closed by Ω1. The single definition of the
-/// entry-token protocol, shared by [`CompiledProgram`]'s run methods and
-/// by `ProgramInstance` (crate::instance).
-pub(crate) fn inject_args(graph: &mut Graph, entry: ChanId, args: &[Word]) {
+/// A one-shot run: injects the `main` argument thread into the entry
+/// channel (one data tuple closed by Ω1 — the entry-token protocol a
+/// stream's `feed` repeats per argset), runs `plan` to quiescence, and
+/// reads a paused quiescence as a deadlock. Shared by
+/// [`CompiledProgram::run_untimed`] and `ProgramInstance`
+/// (crate::instance).
+pub(crate) fn run_once(
+    graph: &mut Graph,
+    entry: ChanId,
+    plan: &ExecPlan,
+    args: &[Word],
+    max_rounds: u64,
+    obs: &revet_obs::ObsSink,
+) -> Result<ExecReport, MachineError> {
     let chan = graph.chan_mut(entry);
     chan.push(revet_sltf::Tok::Data(args.to_vec()));
     chan.push(revet_sltf::Tok::Barrier(revet_sltf::BarrierLevel::L1));
+    match plan.run(graph, &mut ResumeState::new(), max_rounds, obs)? {
+        (report, RunStatus::Finished) => Ok(report),
+        (_, RunStatus::Paused) => Err(graph.deadlock_error()),
+    }
 }
 
 /// The current position in the pipeline being built.
@@ -347,9 +329,9 @@ impl DfLower<'_> {
             .add_node("main.sink", Box::new(sink), vec![cur.chan], vec![]);
         self.g.set_node_meta(id, u32::MAX, UnitClass::Virtual);
         self.g.mem = self.module.build_memory(dram_bytes);
-        // The wiring is complete: build the channel-endpoint index both
-        // executors use for ready-set scheduling, and flatten the graph
-        // into the execution plan every instance of this compile shares.
+        // The wiring is complete: build the channel-endpoint index the
+        // simulator schedules with, and flatten the graph into the
+        // execution plan every instance of this compile shares.
         self.g.finalize_topology();
         let plan = Arc::new(ExecPlan::build(&self.g));
         Ok(CompiledProgram {

@@ -24,16 +24,16 @@ use revet_machine::nodes::SinkHandle;
 use revet_machine::{ExecReport, MachineError, MemoryState, ResumeState, RunStatus, TTok};
 use revet_sltf::{BarrierLevel, Tok, Word};
 
-/// Which executor a streaming session runs on. A session picks one at
-/// open and sticks with it — the [`ResumeState`] worklist carries over
-/// between polls of the *same* executor.
+/// Which execution plan a streaming session runs on. A session picks its
+/// plan once, at open, and keeps it for every poll.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StreamExecutor {
-    /// The compiled [`revet_machine::ExecPlan`] fast path (the default).
+    /// The compiled, fused [`revet_machine::ExecPlan`] (the default).
     #[default]
     Planned,
-    /// The interpreted event-driven reference executor.
-    Interpreted,
+    /// The all-boxed reference plan
+    /// ([`revet_machine::ExecPlan::build_unfused`]).
+    Unfused,
 }
 
 /// Everything a finished stream leaves behind (see
@@ -74,7 +74,6 @@ pub struct StreamOutcome {
 pub struct StreamInstance {
     inner: ProgramInstance,
     resume: ResumeState,
-    executor: StreamExecutor,
     /// Sink read position: `poll` returns tokens from here onward.
     cursor: usize,
     /// Counters merged across every poll so far.
@@ -84,12 +83,15 @@ pub struct StreamInstance {
 }
 
 impl StreamInstance {
-    /// Wraps a fresh instance for streaming on the chosen executor.
+    /// Wraps a fresh instance for streaming on the chosen plan.
     pub fn new(inner: ProgramInstance, executor: StreamExecutor) -> Self {
+        let inner = match executor {
+            StreamExecutor::Planned => inner,
+            StreamExecutor::Unfused => inner.unfused(),
+        };
         StreamInstance {
             inner,
             resume: ResumeState::new(),
-            executor,
             cursor: 0,
             report: ExecReport::default(),
             fed: 0,
@@ -149,22 +151,10 @@ impl StreamInstance {
         obs: &revet_obs::ObsSink,
     ) -> Result<(Vec<TTok>, RunStatus), MachineError> {
         self.inner.publish_labels(obs);
-        let (report, status) = match self.executor {
-            StreamExecutor::Planned => {
-                let plan = std::sync::Arc::clone(&self.inner.plan);
-                self.inner.graph.run_untimed_planned_resumable_obs(
-                    &plan,
-                    &mut self.resume,
-                    max_rounds,
-                    obs,
-                )?
-            }
-            StreamExecutor::Interpreted => {
-                self.inner
-                    .graph
-                    .run_untimed_resumable_obs(&mut self.resume, max_rounds, obs)?
-            }
-        };
+        let (report, status) =
+            self.inner
+                .plan
+                .run(&mut self.inner.graph, &mut self.resume, max_rounds, obs)?;
         self.report.merge(&report);
         if obs.is_enabled() {
             obs.registry
@@ -187,19 +177,7 @@ impl StreamInstance {
     pub fn finish(mut self, max_rounds: u64) -> Result<StreamOutcome, MachineError> {
         let (_, status) = self.poll(max_rounds)?;
         if status == RunStatus::Paused {
-            // Re-run one-shot: at quiescence with stuck channels this
-            // produces the labeled deadlock diagnosis.
-            let res = match self.executor {
-                StreamExecutor::Planned => {
-                    let plan = std::sync::Arc::clone(&self.inner.plan);
-                    self.inner.graph.run_untimed_planned(&plan, max_rounds)
-                }
-                StreamExecutor::Interpreted => self.inner.graph.run_untimed(max_rounds),
-            };
-            return Err(match res {
-                Err(e) => e,
-                Ok(_) => MachineError::new("stream closed with unconsumed input"),
-            });
+            return Err(self.inner.graph.deadlock_error());
         }
         Ok(StreamOutcome {
             report: self.report,
@@ -284,7 +262,7 @@ mod tests {
         assert_eq!(oneshot.feed(&argsets).unwrap(), 4);
         let reference = oneshot.finish(1_000_000).unwrap();
 
-        for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
+        for executor in [StreamExecutor::Planned, StreamExecutor::Unfused] {
             let mut stream = program.stream(executor);
             let mut collected = Vec::new();
             for args in &argsets {
@@ -361,12 +339,16 @@ mod tests {
         assert_eq!(status, RunStatus::Paused, "starved zip pauses the stream");
         let err = stream.finish(1_000_000).unwrap_err();
         assert!(err.message.contains("deadlock"), "got: {err}");
+        assert!(
+            err.message.contains("'zip'"),
+            "diagnosis must name the stuck consumer, got: {err}"
+        );
     }
 
     #[test]
     fn resident_bytes_rises_with_fed_input_and_survives_pause() {
         let program = compile(0);
-        let mut stream = program.stream(StreamExecutor::Interpreted);
+        let mut stream = program.stream(StreamExecutor::Unfused);
         assert_eq!(stream.resident_bytes(), 0);
         stream.feed(&[vec![Word(8)]]).unwrap();
         assert!(stream.resident_bytes() > 0, "fed argset is resident");

@@ -127,7 +127,8 @@ fn main() -> ExitCode {
         if !quiet {
             eprintln!(
                 "[revet-fuzz] campaign green: {} cases from seed {seed} \
-                 (3 evaluators x 3 opt levels, bit-identical)",
+                 (MIR interpreter, unfused plan, fused plan x 3 opt levels, \
+                 bit-identical)",
                 report.cases_run
             );
         }

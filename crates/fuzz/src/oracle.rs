@@ -8,15 +8,15 @@
 //! |---|-----------|--------|-----------|
 //! | 1 | MIR interpreter | unoptimized (`compile_to_mir`) | — (reference) |
 //! | 2,5,8 | MIR interpreter | optimized (`Session::run_passes`) | O0/O1/O2 |
-//! | 3,6,9 | compiled `ExecPlan` (`run_untimed`) | lowered dataflow | O0/O1/O2 |
-//! | 4,7,10 | interpreted ready-set executor | lowered dataflow | O0/O1/O2 |
+//! | 3,6,9 | fused `ExecPlan` (`run_untimed`) | lowered dataflow | O0/O1/O2 |
+//! | 4,7,10 | unfused `ExecPlan` (`ProgramInstance::unfused`) | lowered dataflow | O0/O1/O2 |
 //!
 //! On top of the batch matrix, each level runs the **chunked-feed
 //! streaming lane**: the case's argset replicated and fed through a
 //! resident [`StreamInstance`](revet_core::StreamInstance) at a
 //! seed-derived chunk boundary must be bit-identical (final DRAM plus
 //! sink stream) to one session fed everything up front, on both
-//! executors — and a single-argset session must match the batch runs.
+//! plans — and a single-argset session must match the batch runs.
 //!
 //! On top of the bit-identity matrix the oracle enforces the frontend
 //! invariants: compilation must succeed with *zero* diagnostics (clean
@@ -380,11 +380,11 @@ fn run_level(
         .run_untimed(&args, cfg.max_rounds())
         .map_err(|e| fail(FailureKind::ExecError, level, format!("planned: {e}")))?;
 
-    // Runs 4/7/10: the interpreted ready-set executor.
-    let mut ready = program.instance();
-    ready
-        .run_untimed_interpreted(&args, cfg.max_rounds())
-        .map_err(|e| fail(FailureKind::ExecError, level, format!("interpreted: {e}")))?;
+    // Runs 4/7/10: the all-boxed (unfused) plan.
+    let mut unfused = program.instance().unfused();
+    unfused
+        .run_untimed(&args, cfg.max_rounds())
+        .map_err(|e| fail(FailureKind::ExecError, level, format!("unfused: {e}")))?;
 
     if planned.memory().dram != *reference {
         return Err(fail(
@@ -393,21 +393,21 @@ fn run_level(
             diff_dram(reference, &planned.memory().dram, "planned vs reference"),
         ));
     }
-    if ready.memory().dram != *reference {
+    if unfused.memory().dram != *reference {
         return Err(fail(
             FailureKind::DramMismatch,
             level,
-            diff_dram(reference, &ready.memory().dram, "interpreted vs reference"),
+            diff_dram(reference, &unfused.memory().dram, "unfused vs reference"),
         ));
     }
-    if planned.sink_tokens() != ready.sink_tokens() {
+    if planned.sink_tokens() != unfused.sink_tokens() {
         return Err(fail(
             FailureKind::SinkMismatch,
             level,
             format!(
-                "planned vs interpreted sink streams ({} vs {} tokens)",
+                "planned vs unfused sink streams ({} vs {} tokens)",
                 planned.sink_tokens().len(),
-                ready.sink_tokens().len()
+                unfused.sink_tokens().len()
             ),
         ));
     }
@@ -445,13 +445,13 @@ fn run_level(
 
     // Then the invariant itself: the argset replicated `copies` times and
     // fed at a seed-derived chunk boundary must be bit-identical to one
-    // session fed everything up front, on both executors. (Replication
+    // session fed everything up front, on both plans. (Replication
     // rather than fresh argsets keeps the lane cheap; distinct inputs per
     // chunk are covered by the dedicated property suite.)
     let copies = 2 + (case.seed % 2) as usize;
     let chunk = 1 + (case.seed >> 8) as usize % (copies - 1);
     let sets: Vec<Vec<Word>> = vec![args.clone(); copies];
-    for executor in [StreamExecutor::Planned, StreamExecutor::Interpreted] {
+    for executor in [StreamExecutor::Planned, StreamExecutor::Unfused] {
         let (oneshot_dram, oneshot_sink) =
             stream_run(&program, executor, &sets, copies, cfg.max_rounds()).map_err(stream_err)?;
         let (chunked_dram, chunked_sink) =

@@ -1,38 +1,19 @@
-//! Dataflow graphs of streaming nodes and the untimed executor.
+//! Dataflow graphs of streaming nodes.
 //!
-//! A [`Graph`] owns nodes, channels, and the shared [`MemoryState`]. The
-//! untimed executor runs it as a Kahn-style process network until
-//! quiescence. It is the *functional reference* for compiled programs; the
-//! cycle-level simulator (crate `revet-sim`) re-executes the same graph
-//! under timing constraints.
-//!
-//! ## Event-driven scheduling
-//!
-//! Both executors are driven by token availability, not dense sweeps. A
-//! precomputed [`TopologyIndex`] maps every channel to its producer and
-//! consumer nodes; [`IoEvents`] records which channels gained tokens or
-//! regained capacity during a step. The executor keeps a ready worklist and
-//! re-enqueues a node only when
-//!
-//! 1. one of its **input channels gains a token** (it may now fire),
-//! 2. one of its **output channels regains capacity** after being full
-//!    (back-pressure release — only possible on bounded channels), or
-//! 3. a pointer is **pushed to an allocator queue** and the node declares
-//!    [`Node::may_stall_on_alloc`] (allocator releases are the one
-//!    progress-enabling state change invisible on the channel network).
-//!
-//! Because nodes are Kahn processes (blocking reads, no sampling of
-//! channel emptiness), the final token streams and memory state are
-//! independent of the order in which ready nodes are drained; only the
-//! amount of scheduler work changes. The retained dense-sweep reference
-//! ([`Graph::run_untimed_dense`]) pins that equivalence in tests.
+//! A [`Graph`] owns nodes, channels, and the shared [`MemoryState`]. It is
+//! the per-instance state every executor mutates: the untimed executor
+//! ([`crate::ExecPlan`], a Kahn-style process network run to quiescence —
+//! the *functional reference* for compiled programs) and the cycle-level
+//! simulator (crate `revet-sim`, which re-executes the same graph under
+//! timing constraints). [`Graph::run_untimed`] is the one-shot helper for
+//! hand-built graphs.
 
 use crate::channel::Channel;
 use crate::mem::MemoryState;
 use crate::node::{ChanId, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
+use crate::plan::{ExecPlan, ExecReport, ResumeState, RunStatus};
 use crate::tuple::TTok;
-use revet_obs::{ObsSink, StallClass, WakeCause};
-use std::collections::VecDeque;
+use revet_obs::{ObsSink, StallClass};
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,9 +65,9 @@ impl fmt::Debug for NodeSlot {
 ///
 /// Built once per wiring ([`Graph::finalize_topology`], called by the
 /// compiler when it finishes a [`Graph`]); invalidated by any later
-/// `add_node`/`add_chan`. Shared by the untimed executor and the
-/// cycle-level simulator for ready-set wake-ups and one-pass deadlock
-/// diagnosis.
+/// `add_node`/`add_chan`. The cycle-level simulator wakes nodes through
+/// it, and [`Graph::stuck_channels`] diagnoses deadlocks with it in one
+/// pass. (The untimed [`crate::ExecPlan`] flattens its own copy.)
 #[derive(Debug, Clone, Default)]
 pub struct TopologyIndex {
     /// Per channel: nodes reading it (almost always exactly one).
@@ -159,108 +140,6 @@ pub struct Graph {
     /// Channel-endpoint index, shared across instances of the same wiring;
     /// `None` until finalized or after rewiring.
     topo: Option<Arc<TopologyIndex>>,
-}
-
-/// How a resumable untimed run ended.
-///
-/// Returned by the `*_resumable` executor entry points: `Finished` means
-/// quiescence with every consumer-attached channel drained (the condition
-/// the one-shot executors demand); `Paused` means quiescence with tokens
-/// still pending — under streaming that is "waiting for more input", and
-/// the same state a one-shot run reports as a deadlock. The caller decides
-/// which reading applies (a stream's `finish()` converts a final `Paused`
-/// into the deadlock diagnosis).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RunStatus {
-    /// Clean quiescence: all consumer-attached channels drained.
-    Finished,
-    /// Quiescence with tokens still queued — resumable once more input
-    /// arrives ([`Graph::feed_source`] or a direct channel push).
-    Paused,
-}
-
-/// Reusable scheduler state for resumable (streaming) execution.
-///
-/// A fresh state makes the first `*_resumable` run identical to a one-shot
-/// run: every node is seeded into the worklist. Subsequent runs on the
-/// same state re-seed only what can make progress — consumers of non-empty
-/// channels, allocator-gated nodes, and nodes holding internal pending
-/// input ([`Node::pending_input_tokens`], i.e. fed sources). Spurious
-/// seeds are harmless (an unproductive step), and any node able to make
-/// progress is covered: progress requires an input token, internal
-/// pending state, or allocator availability, all of which the re-seed rule
-/// observes. The worklist buffers live here so repeated polls never
-/// reallocate; one state must only ever drive the graph it was first run
-/// against.
-#[derive(Debug, Default)]
-pub struct ResumeState {
-    started: bool,
-    current: VecDeque<u32>,
-    next: VecDeque<u32>,
-    queued: Vec<bool>,
-}
-
-impl ResumeState {
-    /// Fresh state: the next resumable run seeds every node, exactly like
-    /// a one-shot run.
-    pub fn new() -> Self {
-        ResumeState::default()
-    }
-
-    /// Whether a run has already consumed this state (later runs use the
-    /// incremental re-seed rule).
-    pub fn started(&self) -> bool {
-        self.started
-    }
-
-    /// Marks the state started, returning whether it already was — the
-    /// plan executor's first-run/resume discriminator (it keeps its own
-    /// bitmap worklist and only shares this flag).
-    pub(crate) fn take_started(&mut self) -> bool {
-        std::mem::replace(&mut self.started, true)
-    }
-}
-
-/// Summary of an untimed run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ExecReport {
-    /// Scheduler generations executed (worklist drains; comparable to the
-    /// dense sweep's rounds — the livelock cap counts these).
-    pub rounds: u64,
-    /// Node steps that made progress (moved at least one token).
-    pub productive_steps: u64,
-    /// Node steps attempted by the scheduler. The dense sweep attempts
-    /// `rounds × nodes`; the ready-set executor only steps woken nodes, so
-    /// this is the "work" a scheduler comparison should look at.
-    pub steps: u64,
-    /// High watermark of worklist occupancy at the start of any round — the
-    /// peak instantaneous parallelism the scheduler saw. A **max-merged**
-    /// watermark, not an additive counter.
-    pub peak_ready: u64,
-}
-
-impl ExecReport {
-    /// Fraction of attempted steps that made progress (1.0 when no steps
-    /// were attempted — an empty run wastes nothing).
-    pub fn productive_ratio(&self) -> f64 {
-        if self.steps == 0 {
-            1.0
-        } else {
-            self.productive_steps as f64 / self.steps as f64
-        }
-    }
-
-    /// Folds another run's counters into this report — batch aggregation
-    /// across program instances. The three step counters **add**; the
-    /// `peak_ready` watermark merges by **max** (a peak observed by any
-    /// instance is a peak of the batch — summing watermarks would invent a
-    /// parallelism level no scheduler ever saw).
-    pub fn merge(&mut self, other: &ExecReport) {
-        self.rounds += other.rounds;
-        self.productive_steps += other.productive_steps;
-        self.steps += other.steps;
-        self.peak_ready = self.peak_ready.max(other.peak_ready);
-    }
 }
 
 impl Graph {
@@ -350,8 +229,7 @@ impl Graph {
     }
 
     /// Builds (or reuses) the channel-endpoint index for the current wiring.
-    /// The compiler calls this once when a program's graph is complete;
-    /// executors call it defensively before running.
+    /// The compiler calls this once when a program's graph is complete.
     pub fn finalize_topology(&mut self) -> &TopologyIndex {
         if self.topo.is_none() {
             self.topo = Some(Arc::new(TopologyIndex::build(
@@ -414,29 +292,15 @@ impl Graph {
         }
     }
 
-    /// Steps one node once with the given port budgets. Returns whether the
-    /// node made progress.
+    /// Steps one node once with the given port budgets, recording channel
+    /// gain/free events into `events` (cleared first) for event-driven
+    /// wake-ups. Returns whether the node made progress.
     ///
     /// # Errors
     ///
     /// Propagates node protocol errors, attributed with the node label; a
     /// reentrant step (behavior already checked out) is reported as a
     /// [`MachineError`] rather than a crash.
-    pub fn step_node(
-        &mut self,
-        id: NodeId,
-        in_budget: &mut [PortBudget],
-        out_budget: &mut [PortBudget],
-    ) -> Result<bool, MachineError> {
-        self.step_node_inner(id, in_budget, out_budget, None)
-    }
-
-    /// Like [`Graph::step_node`], additionally recording channel gain/free
-    /// events into `events` (cleared first) for ready-set scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::step_node`].
     pub fn step_node_traced(
         &mut self,
         id: NodeId,
@@ -445,16 +309,6 @@ impl Graph {
         events: &mut IoEvents,
     ) -> Result<bool, MachineError> {
         events.clear();
-        self.step_node_inner(id, in_budget, out_budget, Some(events))
-    }
-
-    fn step_node_inner(
-        &mut self,
-        id: NodeId,
-        in_budget: &mut [PortBudget],
-        out_budget: &mut [PortBudget],
-        events: Option<&mut IoEvents>,
-    ) -> Result<bool, MachineError> {
         let idx = id.0 as usize;
         let Some(mut behavior) = self.nodes[idx].behavior.take() else {
             return Err(MachineError {
@@ -473,10 +327,8 @@ impl Graph {
             &mut self.mem,
             in_budget,
             out_budget,
-        );
-        if let Some(ev) = events {
-            io = io.with_events(ev);
-        }
+        )
+        .with_events(events);
         let result = behavior.step(&mut io);
         self.nodes[idx].ins = slot_ins;
         self.nodes[idx].outs = slot_outs;
@@ -492,26 +344,21 @@ impl Graph {
     /// One-pass deadlock diagnosis over the consumer index: every non-empty
     /// channel that *has* a consumer is stuck (channels nobody reads —
     /// dangling outputs — may legally retain tokens). Returns one line per
-    /// stuck channel with its consumer labels. Used by both executors at
-    /// quiescence; an empty result means a clean drain.
+    /// stuck channel with its consumer labels; an empty result means a
+    /// clean drain.
     pub fn stuck_channels(&self) -> Vec<String> {
-        match &self.topo {
-            Some(t) => self.stuck_channel_report(t),
+        let built;
+        let topo = match &self.topo {
+            Some(t) => t,
             None => {
-                let t = TopologyIndex::build(&self.nodes, self.chans.len());
-                self.stuck_channel_report(&t)
+                built = TopologyIndex::build(&self.nodes, self.chans.len());
+                &built
             }
-        }
-    }
-
-    fn stuck_channel_report(&self, topo: &TopologyIndex) -> Vec<String> {
+        };
         let mut stuck = Vec::new();
         for (ci, chan) in self.chans.iter().enumerate() {
-            if chan.is_empty() {
-                continue;
-            }
             let consumers = topo.consumers(ChanId(ci as u32));
-            if consumers.is_empty() {
+            if chan.is_empty() || consumers.is_empty() {
                 continue;
             }
             let labels: Vec<&str> = consumers
@@ -527,75 +374,35 @@ impl Graph {
         stuck
     }
 
-    /// Runs the graph untimed (unbounded budgets) until quiescence, using
-    /// the event-driven ready-set scheduler: a node is stepped only when an
-    /// input channel gained tokens, an output channel regained capacity, or
-    /// an allocator it can block on received a pointer (see module docs).
+    /// The untimed deadlock error: what a [`RunStatus::Paused`] quiescence
+    /// means when no more input will arrive (a one-shot run, or a stream's
+    /// final poll). Lists every stuck channel ([`Graph::stuck_channels`]).
+    pub fn deadlock_error(&self) -> MachineError {
+        MachineError::new(format!(
+            "deadlock at quiescence: {}",
+            self.stuck_channels().join("; ")
+        ))
+    }
+
+    /// Runs the graph untimed to quiescence, one shot, through a freshly
+    /// built [`ExecPlan`] — the helper for hand-built graphs. Compiled
+    /// programs build their plan once and call [`ExecPlan::run`].
     ///
     /// # Errors
     ///
     /// Returns a node error, a round-limit error (suspected livelock), or a
     /// deadlock diagnosis listing all stuck channels.
     pub fn run_untimed(&mut self, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_untimed_obs(max_rounds, ObsSink::noop())
-    }
-
-    /// [`Graph::run_untimed`] with an observability sink: dispatches, wake
-    /// causes, and per-node stall attribution are recorded into `obs`. Pass
-    /// [`ObsSink::noop`] (what `run_untimed` does) to keep the hot path at
-    /// one predictable branch per event site.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed`].
-    pub fn run_untimed_obs(
-        &mut self,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        self.run_with_topology(|g, topo| g.run_untimed_ready(topo, max_rounds, obs))
-    }
-
-    /// Runs the graph with the ready-set scheduler in **suspend-at-
-    /// quiescence** mode: instead of reporting leftover tokens as a
-    /// deadlock, the run returns [`RunStatus::Paused`] and leaves every
-    /// channel ring and node state live, ready to resume after more input
-    /// is fed ([`Graph::feed_source`] or a direct entry-channel push). The
-    /// same `resume` state must be passed to every run of one streaming
-    /// session; a fresh state makes the first run seed every node exactly
-    /// like [`Graph::run_untimed`].
-    ///
-    /// # Errors
-    ///
-    /// Node protocol errors and the round cap. Leftover tokens are *not*
-    /// an error here — that is the `Paused` status.
-    pub fn run_untimed_resumable(
-        &mut self,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        self.run_untimed_resumable_obs(resume, max_rounds, ObsSink::noop())
-    }
-
-    /// [`Graph::run_untimed_resumable`] with an observability sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_resumable`].
-    pub fn run_untimed_resumable_obs(
-        &mut self,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        self.finalize_topology();
-        let topo = self.topo.clone().expect("just finalized");
-        self.run_untimed_ready_core(&topo, resume, true, max_rounds, obs)
+        let plan = ExecPlan::build(self);
+        match plan.run(self, &mut ResumeState::new(), max_rounds, ObsSink::noop())? {
+            (report, RunStatus::Finished) => Ok(report),
+            (_, RunStatus::Paused) => Err(self.deadlock_error()),
+        }
     }
 
     /// Appends tokens to the internal pending queue of source node `id`
     /// ([`Node::feed_tokens`]) — how a paused streaming graph receives its
-    /// next input chunk. The next resumable run re-wakes the source.
+    /// next input chunk. The next [`ExecPlan::run`] re-wakes the source.
     ///
     /// # Errors
     ///
@@ -639,7 +446,7 @@ impl Graph {
     /// **output-full**; otherwise a node that can block on an allocator
     /// queue is **allocator-gated**. (DRAM gating exists only in the timed
     /// simulator, which attributes it at the deferral site.) Shared by the
-    /// ready-set executor, the plan executor, and the simulator.
+    /// untimed executor and the simulator.
     pub fn classify_stall(&self, id: NodeId) -> StallClass {
         let slot = &self.nodes[id.0 as usize];
         if slot.ins.iter().any(|c| self.chans[c.0 as usize].is_empty()) {
@@ -662,308 +469,6 @@ impl Graph {
         // No visibly blocked endpoint: the node is waiting for *more* input
         // than any one channel shows (e.g. a barrier-aligned zip).
         StallClass::InputStarved
-    }
-
-    /// Hands an executor a shared handle to the topology index so it can
-    /// hold the index while mutably stepping the graph (the `Arc` clone
-    /// keeps the graph borrowable).
-    fn run_with_topology<F>(&mut self, f: F) -> Result<ExecReport, MachineError>
-    where
-        F: FnOnce(&mut Self, &TopologyIndex) -> Result<ExecReport, MachineError>,
-    {
-        self.finalize_topology();
-        let topo = self.topo.clone().expect("just finalized");
-        f(self, &topo)
-    }
-
-    fn run_untimed_ready(
-        &mut self,
-        topo: &TopologyIndex,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        let mut resume = ResumeState::new();
-        let (report, _) = self.run_untimed_ready_core(topo, &mut resume, false, max_rounds, obs)?;
-        Ok(report)
-    }
-
-    /// Seeds a resumable run's worklist. First run: every node (identical
-    /// to a one-shot run). Resume: consumers of non-empty channels, every
-    /// allocator waiter, and nodes holding internal pending input — the
-    /// three places progress-enabling state can hide while quiescent.
-    fn seed_resume(&self, topo: &TopologyIndex, resume: &mut ResumeState) {
-        let n = self.nodes.len();
-        resume.queued.resize(n, false);
-        if !resume.started {
-            resume.started = true;
-            resume.current.extend(0..n as u32);
-            resume.queued.fill(true);
-            return;
-        }
-        let seed = |id: NodeId, resume: &mut ResumeState| {
-            if !resume.queued[id.0 as usize] {
-                resume.queued[id.0 as usize] = true;
-                resume.current.push_back(id.0);
-            }
-        };
-        for (ci, chan) in self.chans.iter().enumerate() {
-            if !chan.is_empty() {
-                for &c in topo.consumers(ChanId(ci as u32)) {
-                    seed(c, resume);
-                }
-            }
-        }
-        for &w in topo.alloc_waiters() {
-            seed(w, resume);
-        }
-        for (i, slot) in self.nodes.iter().enumerate() {
-            if slot
-                .behavior
-                .as_ref()
-                .is_some_and(|b| b.pending_input_tokens() > 0)
-            {
-                seed(NodeId(i as u32), resume);
-            }
-        }
-    }
-
-    fn run_untimed_ready_core(
-        &mut self,
-        topo: &TopologyIndex,
-        resume: &mut ResumeState,
-        suspend_at_quiescence: bool,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        let max_in = self.nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
-        let max_out = self.nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
-        // Reusable budget buffers: refreshed per step, never reallocated.
-        let mut ib = vec![PortBudget::UNLIMITED; max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; max_out];
-        let mut events = IoEvents::default();
-        let mut report = ExecReport::default();
-
-        // Generation-structured worklist: `current` is drained while wakes
-        // accumulate in `next`; one drain ≈ one dense round for the livelock
-        // cap. `queued` dedups membership across both queues. The buffers
-        // live in `resume` (empty and all-false at quiescence, so a paused
-        // run can hand them straight back).
-        self.seed_resume(topo, resume);
-        let ResumeState {
-            current,
-            next,
-            queued,
-            ..
-        } = resume;
-
-        while !current.is_empty() {
-            if report.rounds >= max_rounds {
-                return Err(MachineError::new(format!(
-                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-                )));
-            }
-            report.rounds += 1;
-            report.peak_ready = report.peak_ready.max(current.len() as u64);
-            obs.round(current.len() as u64);
-            while let Some(i) = current.pop_front() {
-                let idx = i as usize;
-                queued[idx] = false;
-                let n_in = self.nodes[idx].ins.len();
-                let n_out = self.nodes[idx].outs.len();
-                for b in &mut ib[..n_in] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                for b in &mut ob[..n_out] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                let allocs_before = self.mem.alloc_push_ops();
-                report.steps += 1;
-                let progressed = self.step_node_traced(
-                    NodeId(i),
-                    &mut ib[..n_in],
-                    &mut ob[..n_out],
-                    &mut events,
-                )?;
-                if progressed {
-                    report.productive_steps += 1;
-                }
-                obs.node_dispatch(i, progressed);
-                if !progressed && obs.is_enabled() {
-                    obs.stall(i, self.classify_stall(NodeId(i)));
-                }
-                let wake = |id: NodeId,
-                            cause: WakeCause,
-                            next: &mut VecDeque<u32>,
-                            queued: &mut Vec<bool>| {
-                    if !queued[id.0 as usize] {
-                        queued[id.0 as usize] = true;
-                        next.push_back(id.0);
-                        obs.wake(id.0, cause);
-                    }
-                };
-                for &c in &events.pushed {
-                    obs.channel_push(c.0);
-                    for &w in topo.consumers(c) {
-                        wake(w, WakeCause::TokenArrival, next, queued);
-                    }
-                }
-                for &c in &events.freed {
-                    for &w in topo.producers(c) {
-                        wake(w, WakeCause::CapacityRelease, next, queued);
-                    }
-                }
-                if self.mem.alloc_push_ops() != allocs_before {
-                    for &w in topo.alloc_waiters() {
-                        wake(w, WakeCause::AllocatorPush, next, queued);
-                    }
-                }
-            }
-            std::mem::swap(current, next);
-        }
-        // Quiescent: every channel with a consumer should be drained. Under
-        // suspension that is a pause (more input may arrive); one-shot runs
-        // report it as a deadlock.
-        let stuck = self.stuck_channel_report(topo);
-        if stuck.is_empty() {
-            return Ok((report, RunStatus::Finished));
-        }
-        if suspend_at_quiescence {
-            return Ok((report, RunStatus::Paused));
-        }
-        Err(MachineError::new(format!(
-            "deadlock at quiescence: {}",
-            stuck.join("; ")
-        )))
-    }
-
-    /// Runs the graph untimed through a prebuilt execution plan
-    /// ([`crate::ExecPlan`]) — the flattened, fused fast path. Semantically
-    /// equivalent to [`Graph::run_untimed`]; the plan must have been built
-    /// from a graph with this wiring.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed`], plus a shape-mismatch error when the
-    /// plan was built for different wiring.
-    pub fn run_untimed_planned(
-        &mut self,
-        plan: &crate::ExecPlan,
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        plan.run(self, max_rounds)
-    }
-
-    /// [`Graph::run_untimed_planned`] with an observability sink (see
-    /// [`Graph::run_untimed_obs`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_planned`].
-    pub fn run_untimed_planned_obs(
-        &mut self,
-        plan: &crate::ExecPlan,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        plan.run_obs(self, max_rounds, obs)
-    }
-
-    /// [`Graph::run_untimed_planned`] in suspend-at-quiescence mode — the
-    /// plan-executor twin of [`Graph::run_untimed_resumable`]. The same
-    /// `resume` state drives either executor's seeding (a session picks
-    /// one executor and sticks with it).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_resumable`], plus a shape-mismatch
-    /// error when the plan was built for different wiring.
-    pub fn run_untimed_planned_resumable(
-        &mut self,
-        plan: &crate::ExecPlan,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        plan.run_resumable_obs(self, resume, max_rounds, ObsSink::noop())
-    }
-
-    /// [`Graph::run_untimed_planned_resumable`] with an observability
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed_planned_resumable`].
-    pub fn run_untimed_planned_resumable_obs(
-        &mut self,
-        plan: &crate::ExecPlan,
-        resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        plan.run_resumable_obs(self, resume, max_rounds, obs)
-    }
-
-    /// The retained dense-sweep reference executor: every round steps every
-    /// node until a whole round makes no progress. Semantically equivalent
-    /// to [`Graph::run_untimed`] (the property suite pins this); kept for
-    /// equivalence testing and as the scheduler-overhead baseline in the
-    /// executor benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Graph::run_untimed`].
-    pub fn run_untimed_dense(&mut self, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_with_topology(|g, topo| g.run_untimed_dense_inner(topo, max_rounds))
-    }
-
-    fn run_untimed_dense_inner(
-        &mut self,
-        topo: &TopologyIndex,
-        max_rounds: u64,
-    ) -> Result<ExecReport, MachineError> {
-        let n = self.nodes.len();
-        let max_in = self.nodes.iter().map(|s| s.ins.len()).max().unwrap_or(0);
-        let max_out = self.nodes.iter().map(|s| s.outs.len()).max().unwrap_or(0);
-        let mut ib = vec![PortBudget::UNLIMITED; max_in];
-        let mut ob = vec![PortBudget::UNLIMITED; max_out];
-        let mut report = ExecReport::default();
-        loop {
-            if report.rounds >= max_rounds {
-                return Err(MachineError::new(format!(
-                    "no quiescence after {max_rounds} rounds (livelock or huge workload)"
-                )));
-            }
-            report.rounds += 1;
-            // Every node is "ready" in a dense sweep; the watermark is the
-            // node count as soon as any round runs.
-            report.peak_ready = report.peak_ready.max(n as u64);
-            let mut any = false;
-            for i in 0..n {
-                let n_in = self.nodes[i].ins.len();
-                let n_out = self.nodes[i].outs.len();
-                for b in &mut ib[..n_in] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                for b in &mut ob[..n_out] {
-                    *b = PortBudget::UNLIMITED;
-                }
-                report.steps += 1;
-                if self.step_node(NodeId(i as u32), &mut ib[..n_in], &mut ob[..n_out])? {
-                    any = true;
-                    report.productive_steps += 1;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        let stuck = self.stuck_channel_report(topo);
-        if !stuck.is_empty() {
-            return Err(MachineError::new(format!(
-                "deadlock at quiescence: {}",
-                stuck.join("; ")
-            )));
-        }
-        Ok(report)
     }
 }
 
@@ -1067,7 +572,9 @@ mod tests {
         g.nodes[id.0 as usize].behavior = None; // simulate mid-step state
         let mut ib: Vec<PortBudget> = vec![];
         let mut ob = vec![PortBudget::UNLIMITED];
-        let err = g.step_node(id, &mut ib, &mut ob).unwrap_err();
+        let err = g
+            .step_node_traced(id, &mut ib, &mut ob, &mut IoEvents::default())
+            .unwrap_err();
         assert!(err.message.contains("reentrant step"), "got: {err}");
         assert_eq!(err.node.as_deref(), Some("src"));
     }
@@ -1102,43 +609,6 @@ mod tests {
         assert!(err.message.contains("deadlock"), "got: {err}");
         assert!(err.message.contains("zip.a"), "got: {err}");
         assert!(err.message.contains("zip.b"), "got: {err}");
-    }
-
-    #[test]
-    fn ready_set_does_less_work_than_dense() {
-        // A long pipeline: the dense sweep re-steps every node every round;
-        // the ready set only steps woken nodes.
-        let build = || {
-            let mut g = Graph::new();
-            let mut prev = g.add_chan(Channel::new(1));
-            let toks: Vec<_> = (0..16u32).map(|i| tdata([i])).chain([tbar(1)]).collect();
-            g.add_node("src", Box::new(SourceNode::new(toks)), vec![], vec![prev]);
-            for i in 0..24 {
-                let next = g.add_chan(Channel::new(1));
-                g.add_node(
-                    format!("stage{i}"),
-                    Box::new(EwNode::passthrough(1)),
-                    vec![prev],
-                    vec![next],
-                );
-                prev = next;
-            }
-            let (sink, handle) = SinkNode::new();
-            g.add_node("sink", Box::new(sink), vec![prev], vec![]);
-            (g, handle)
-        };
-        let (mut dense_g, dense_h) = build();
-        let dense = dense_g.run_untimed_dense(10_000).unwrap();
-        let (mut ready_g, ready_h) = build();
-        let ready = ready_g.run_untimed(10_000).unwrap();
-        assert_eq!(dense_h.tokens(), ready_h.tokens());
-        assert!(
-            ready.steps < dense.steps,
-            "ready {} !< dense {}",
-            ready.steps,
-            dense.steps
-        );
-        assert!(ready.productive_ratio() > dense.productive_ratio());
     }
 
     #[test]
@@ -1267,11 +737,15 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![c1], vec![]);
             g
         };
-        let ready = build().run_untimed(1_000).unwrap();
-        // Round 0 seeds every node, so the watermark starts at node count.
-        assert_eq!(ready.peak_ready, 3);
-        let dense = build().run_untimed_dense(1_000).unwrap();
-        assert_eq!(dense.peak_ready, 3);
+        // Round 0 seeds every node, so the watermark starts at node count
+        // — fused (one bit per segment) and unfused alike here.
+        let fused = build().run_untimed(1_000).unwrap();
+        assert_eq!(fused.peak_ready, 3);
+        let mut g = build();
+        let (unfused, _) = ExecPlan::build_unfused(&g)
+            .run(&mut g, &mut ResumeState::new(), 1_000, ObsSink::noop())
+            .unwrap();
+        assert_eq!(unfused.peak_ready, 3);
     }
 
     #[test]
@@ -1294,7 +768,9 @@ mod tests {
         );
         let (sink, _h) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c1], vec![]);
-        let report = g.run_untimed_obs(1_000, &obs).unwrap();
+        let (report, _) = ExecPlan::build_unfused(&g)
+            .run(&mut g, &mut ResumeState::new(), 1_000, &obs)
+            .unwrap();
         assert_eq!(obs.counters.dispatches.get(), report.steps);
         assert_eq!(obs.counters.productive.get(), report.productive_steps);
         assert_eq!(obs.counters.rounds.get(), report.rounds);
@@ -1369,17 +845,20 @@ mod tests {
             .unwrap();
         one.run_untimed(1_000).unwrap();
 
-        // Chunked: feed one argset, run, feed the next, run again.
+        // Chunked on the all-boxed plan: feed one argset, run, feed the
+        // next, run again.
         let (mut g, src, handle) = streaming_pipeline();
+        let plan = ExecPlan::build_unfused(&g);
         let mut resume = ResumeState::new();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let mut run = |g: &mut Graph| plan.run(g, &mut resume, 1_000, ObsSink::noop()).unwrap();
+        let (_, s) = run(&mut g);
         assert_eq!(s, RunStatus::Finished, "empty stream drains cleanly");
         g.feed_source(src, vec![tdata([1u32]), tbar(1)]).unwrap();
-        let (r1, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (r1, s) = run(&mut g);
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([2u32]), tbar(1)]);
         g.feed_source(src, vec![tdata([2u32]), tbar(1)]).unwrap();
-        let (r2, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (r2, s) = run(&mut g);
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot sink");
         // The second poll's delta is readable through the cursor view.
@@ -1418,12 +897,18 @@ mod tests {
         );
         let (sink, handle) = SinkNode::new();
         g.add_node("sink", Box::new(sink), vec![c2], vec![]);
+        let plan = ExecPlan::build_unfused(&g);
         let mut resume = ResumeState::new();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (_, s) = plan
+            .run(&mut g, &mut resume, 1_000, ObsSink::noop())
+            .unwrap();
         assert_eq!(s, RunStatus::Paused, "stuck token pauses, not deadlocks");
         assert!(g.resident_bytes() > 0, "paused state holds resident tokens");
+        assert!(g.deadlock_error().message.contains("'zip'"));
         g.feed_source(src_b, vec![tdata([2u32])]).unwrap();
-        let (_, s) = g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        let (_, s) = plan
+            .run(&mut g, &mut resume, 1_000, ObsSink::noop())
+            .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([1u32, 2u32])]);
     }
@@ -1433,21 +918,20 @@ mod tests {
         let (mut one, src, oh) = streaming_pipeline();
         one.feed_source(src, vec![tdata([3u32]), tbar(1), tdata([5u32]), tbar(1)])
             .unwrap();
-        let plan = crate::ExecPlan::build(&one);
-        one.run_untimed_planned(&plan, 1_000).unwrap();
+        one.run_untimed(1_000).unwrap();
 
         let (mut g, src, handle) = streaming_pipeline();
-        let plan = crate::ExecPlan::build(&g);
+        let plan = ExecPlan::build(&g);
         let mut resume = ResumeState::new();
         g.feed_source(src, vec![tdata([3u32]), tbar(1)]).unwrap();
-        let (r1, s) = g
-            .run_untimed_planned_resumable(&plan, &mut resume, 1_000)
+        let (r1, s) = plan
+            .run(&mut g, &mut resume, 1_000, ObsSink::noop())
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), vec![tdata([6u32]), tbar(1)]);
         g.feed_source(src, vec![tdata([5u32]), tbar(1)]).unwrap();
-        let (r2, s) = g
-            .run_untimed_planned_resumable(&plan, &mut resume, 1_000)
+        let (r2, s) = plan
+            .run(&mut g, &mut resume, 1_000, ObsSink::noop())
             .unwrap();
         assert_eq!(s, RunStatus::Finished);
         assert_eq!(handle.tokens(), oh.tokens(), "chunked ≡ one-shot (planned)");
@@ -1472,8 +956,7 @@ mod tests {
         g.feed_source(src, vec![tdata([7u32]), tbar(1)]).unwrap();
         let pending = g.resident_bytes();
         assert!(pending > 0, "fed tokens are resident in the source");
-        let mut resume = ResumeState::new();
-        g.run_untimed_resumable(&mut resume, 1_000).unwrap();
+        g.run_untimed(1_000).unwrap();
         // Tokens moved to the sink buffer; still resident in the session.
         assert!(g.resident_bytes() > 0);
     }

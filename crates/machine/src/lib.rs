@@ -22,22 +22,18 @@
 //! All primitives observe the two SLTF composability rules: barriers pass
 //! through exactly once, in order, and data never reorders across barriers.
 //!
-//! The untimed executor is **event-driven**: a precomputed [`TopologyIndex`]
-//! maps channels to their endpoints, and a ready worklist re-steps a node
-//! only when an input channel gains tokens, a full output channel regains
-//! capacity, or an allocator queue it can block on receives a pointer. Kahn
-//! semantics make the results scheduler-order independent, so the ready-set
-//! executor and the retained dense-sweep reference
-//! ([`Graph::run_untimed_dense`]) produce identical streams and memory —
-//! the ready set just attempts far fewer steps (see
-//! [`ExecReport::productive_ratio`]).
-//!
-//! The hot path does not interpret boxed nodes at all: a finished graph
-//! flattens once into an [`ExecPlan`] — fused element-wise segments,
-//! native sink drains, a bitmap worklist, and a boxed fallback for
-//! everything else — which [`Graph::run_untimed_planned`] executes with
-//! bit-identical results (see the [`ExecPlan`] docs).
-//!
+//! The untimed executor is one scheduler, [`ExecPlan`]: a finished graph
+//! flattens once into fused element-wise segments, native sink drains, a
+//! bitmap worklist, and a boxed fallback for everything else. The worklist
+//! is **event-driven** — a node is re-stepped only when an input channel
+//! gains tokens, a full output channel regains capacity, or an allocator
+//! queue it can block on receives a pointer. Kahn semantics make the
+//! results scheduler-order independent, so the fused plan and the
+//! all-boxed reference ([`ExecPlan::build_unfused`]) produce identical
+//! streams and memory. [`ExecPlan::run`] is resumable (streaming feeds
+//! it chunk by chunk); [`Graph::run_untimed`] is the one-shot helper for
+//! hand-built graphs.
+
 //! ## Example: a `foreach` as counter + reduce (paper Fig. 2)
 //!
 //! ```
@@ -77,9 +73,9 @@ mod ring;
 mod tuple;
 
 pub use channel::{Channel, LinkClass};
-pub use graph::{ExecReport, Graph, NodeSlot, ResumeState, RunStatus, TopologyIndex, UnitClass};
+pub use graph::{Graph, NodeSlot, TopologyIndex, UnitClass};
 pub use mem::{AllocId, AllocQueue, MemoryState, SramId, SramRegion};
 pub use node::{ChanId, FusedSpec, IoEvents, MachineError, Node, NodeId, NodeIo, PortBudget};
-pub use plan::{ExecPlan, PlanStats};
+pub use plan::{ExecPlan, ExecReport, PlanStats, ResumeState, RunStatus};
 pub use ring::Ring;
 pub use tuple::{tbar, tdata, TTok, Tuple};

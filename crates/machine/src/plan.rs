@@ -1,10 +1,30 @@
-//! The compiled execution plan: a flattened, arena-backed fast path for
-//! finished graphs.
+//! The untimed executor: a compiled execution plan, flattened into arenas
+//! once per finished graph and run as a Kahn-style process network until
+//! quiescence.
 //!
-//! Interpreting a [`Graph`] pays for virtual dispatch (`Box<dyn Node>`),
-//! behavior take/restore, `NodeIo` assembly, and a fresh register vector
-//! per data token. An [`ExecPlan`] is built **once** per compile from the
-//! finished wiring and removes all of that from the hot loop:
+//! ## Event-driven scheduling
+//!
+//! The plan is driven by token availability, not dense sweeps. It keeps a
+//! ready worklist and re-wakes a node only when
+//!
+//! 1. one of its **input channels gains a token** (it may now fire),
+//! 2. one of its **output channels regains capacity** after being full
+//!    (back-pressure release — only possible on bounded channels), or
+//! 3. a pointer is **pushed to an allocator queue** and the node declares
+//!    [`crate::Node::may_stall_on_alloc`] (allocator releases are the one
+//!    progress-enabling state change invisible on the channel network).
+//!
+//! Because nodes are Kahn processes (blocking reads, no sampling of
+//! channel emptiness), the final token streams and memory state are
+//! independent of the order in which ready nodes are drained; only the
+//! amount of scheduler work changes.
+//!
+//! ## Layout
+//!
+//! Stepping a [`Graph`] node by node pays for virtual dispatch
+//! (`Box<dyn Node>`), behavior take/restore, `NodeIo` assembly, and a
+//! fresh register vector per data token. [`ExecPlan::build`] removes all
+//! of that from the hot loop:
 //!
 //! - **Arenas.** Every per-node quantity lives in one dense buffer indexed
 //!   by node: plan kinds, stage descriptors, input-port lists, fused
@@ -16,8 +36,8 @@
 //!   (single producer → single consumer over a private unbounded channel)
 //!   become one *segment* that fires as a unit: each stage drains its
 //!   input through the real channels, so barrier canonicalization, filter
-//!   predicates, and per-channel statistics behave exactly as under the
-//!   interpreter — the saving is one scheduler dispatch and zero virtual
+//!   predicates, and per-channel statistics behave exactly as under boxed
+//!   stepping — the saving is one scheduler dispatch and zero virtual
 //!   calls per segment instead of one per node, plus a reused scratch
 //!   register file instead of a per-token allocation. Single-input sinks
 //!   lower to a native drain under one lock per firing.
@@ -29,16 +49,107 @@
 //! merges, expanders, allocator-stalling stages, nodes on bounded
 //! channels — stays on the boxed [`crate::Node::step`] path behind the
 //! same scheduler, so the plan is **total**: every graph runs, only the
-//! hot kinds run faster. Kahn semantics guarantee the result is
-//! bit-identical to the interpreted executors; the `scheduler_equiv`
-//! property suite and the eight-app benchmark assert it.
+//! hot kinds run faster. [`ExecPlan::build_unfused`] is the same builder
+//! with fusion off — every node boxed — and serves as the differential
+//! reference: Kahn semantics make the two bit-identical, which the
+//! `scheduler_equiv` property suite, the app differentials and the fuzzer
+//! assert.
+//!
+//! ## One run entry point
+//!
+//! [`ExecPlan::run`] is always resumable: it returns at quiescence with a
+//! [`RunStatus`], and a [`ResumeState`] carries the first-run/resume
+//! distinction across calls. A streaming session calls it after every
+//! input chunk; a one-shot run reads a final [`RunStatus::Paused`] as a
+//! deadlock ([`Graph::deadlock_error`]).
 
-use crate::graph::{ExecReport, Graph, ResumeState, RunStatus};
+use crate::graph::Graph;
 use crate::instr::{exec_instrs, EwInstr, Reg};
 use crate::node::{ChanId, FusedSpec, IoEvents, MachineError, NodeId, PortBudget};
 use crate::nodes::{OutputSpec, SinkHandle};
 use revet_obs::{ObsSink, WakeCause};
 use revet_sltf::{BarrierLevel, Tok, Word};
+
+/// How an untimed run ended.
+///
+/// `Finished` means quiescence with every consumer-attached channel
+/// drained; `Paused` means quiescence with tokens still pending — under
+/// streaming that is "waiting for more input", and in a one-shot run it
+/// is a deadlock. The caller decides which reading applies.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunStatus {
+    /// Clean quiescence: all consumer-attached channels drained.
+    Finished,
+    /// Quiescence with tokens still queued — resumable once more input
+    /// arrives ([`Graph::feed_source`] or a direct channel push).
+    Paused,
+}
+
+/// Scheduler state carried between [`ExecPlan::run`] calls on one graph.
+///
+/// A fresh state makes the first run seed every node. Later runs on the
+/// same state re-seed only what can make progress — consumers of
+/// non-empty channels, allocator-gated nodes, and nodes holding internal
+/// pending input ([`crate::Node::pending_input_tokens`], i.e. fed
+/// sources). Spurious seeds are harmless (an unproductive step), and any
+/// node able to make progress is covered: progress requires an input
+/// token, internal pending state, or allocator availability, all of which
+/// the re-seed rule observes. One state must only ever drive the graph it
+/// was first run against.
+#[derive(Debug, Default)]
+pub struct ResumeState {
+    started: bool,
+}
+
+impl ResumeState {
+    /// Fresh state: the next run seeds every node.
+    pub fn new() -> Self {
+        ResumeState::default()
+    }
+}
+
+/// Summary of an untimed run.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct ExecReport {
+    /// Scheduler generations executed (worklist drains — the livelock cap
+    /// counts these).
+    pub rounds: u64,
+    /// Dispatches that made progress (moved at least one token).
+    pub productive_steps: u64,
+    /// Dispatches attempted by the scheduler: one per boxed node step,
+    /// fused sink drain, or fused segment firing (a segment of k stages
+    /// counts once). Step counts therefore compare only between runs of
+    /// the same plan shape — fused against unfused, compare wall time.
+    pub steps: u64,
+    /// High watermark of worklist occupancy at the start of any round — the
+    /// peak instantaneous parallelism the scheduler saw. A **max-merged**
+    /// watermark, not an additive counter.
+    pub peak_ready: u64,
+}
+
+impl ExecReport {
+    /// Fraction of attempted steps that made progress (1.0 when no steps
+    /// were attempted — an empty run wastes nothing).
+    pub fn productive_ratio(&self) -> f64 {
+        if self.steps == 0 {
+            1.0
+        } else {
+            self.productive_steps as f64 / self.steps as f64
+        }
+    }
+
+    /// Folds another run's counters into this report — batch aggregation
+    /// across program instances. The three step counters **add**; the
+    /// `peak_ready` watermark merges by **max** (a peak observed by any
+    /// instance is a peak of the batch — summing watermarks would invent a
+    /// parallelism level no scheduler ever saw).
+    pub fn merge(&mut self, other: &ExecReport) {
+        self.rounds += other.rounds;
+        self.productive_steps += other.productive_steps;
+        self.steps += other.steps;
+        self.peak_ready = self.peak_ready.max(other.peak_ready);
+    }
+}
 
 /// A lowered element-wise behavior awaiting segment assembly.
 type EwLowering = (Vec<EwInstr>, Vec<OutputSpec>, u16);
@@ -51,7 +162,7 @@ enum PlanKind {
     Seg(u32),
     /// Fused single-input sink draining channel `.0`.
     Sink(ChanId),
-    /// Fallback: step the boxed behavior through the interpreter surface.
+    /// Fallback: step the boxed behavior ([`crate::Node::step`]).
     Boxed,
 }
 
@@ -137,8 +248,7 @@ pub struct ExecPlan {
 }
 
 /// The two-generation bitmap worklist: `cur` drains while wakes land in
-/// `next`; membership in either suppresses re-queueing (the same dedup the
-/// interpreter's `queued` flags provide).
+/// `next`; membership in either suppresses re-queueing.
 struct WakeSet {
     cur: Vec<u64>,
     next: Vec<u64>,
@@ -181,6 +291,17 @@ impl ExecPlan {
     /// not modified; the plan matches any graph with identical wiring
     /// (every [`Graph::fresh_instance`] of the same compile).
     pub fn build(g: &Graph) -> ExecPlan {
+        Self::build_with(g, true)
+    }
+
+    /// [`ExecPlan::build`] with fusion off: every node stays on the boxed
+    /// fallback. The differential reference for the fused plan — same
+    /// scheduler, one dispatch per node step.
+    pub fn build_unfused(g: &Graph) -> ExecPlan {
+        Self::build_with(g, false)
+    }
+
+    fn build_with(g: &Graph, fuse: bool) -> ExecPlan {
         let nodes = g.nodes();
         let chans = g.chans();
         let n = nodes.len();
@@ -210,9 +331,10 @@ impl ExecPlan {
         // no allocator stalls (fused stages commit without a stall check),
         // ≥1 input (EwNode's own invariant), unbounded outputs (fused
         // pushes skip room checks), and a spec/wiring port-count match.
+        // With fusion off nothing lowers: every node stays boxed.
         let mut ew_spec: Vec<Option<EwLowering>> = (0..n).map(|_| None).collect();
         let mut sink_ok = vec![false; n];
-        for (i, slot) in nodes.iter().enumerate() {
+        for (i, slot) in nodes.iter().enumerate().filter(|_| fuse) {
             let Some(b) = slot.behavior.as_ref() else {
                 continue;
             };
@@ -409,63 +531,26 @@ impl ExecPlan {
         &self.producers[self.prod_off[i] as usize..self.prod_off[i + 1] as usize]
     }
 
-    /// Runs `g` to quiescence under this plan. See
-    /// [`Graph::run_untimed_planned`].
+    /// Runs `g` under this plan until quiescence. Leftover tokens at
+    /// quiescence yield [`RunStatus::Paused`] with every channel ring and
+    /// node state left live, so the graph resumes after more input is fed;
+    /// a one-shot caller reads `Paused` as a deadlock
+    /// ([`Graph::deadlock_error`]). The same `resume` state must drive
+    /// every run of one graph (see [`ResumeState`]).
+    ///
+    /// Dispatches, segment fires, sink drains, classified wakes, and
+    /// per-node stall attribution are recorded into `obs`; the no-op sink
+    /// costs one predictable branch per event site.
     ///
     /// # Errors
     ///
     /// Shape mismatch (plan built for different wiring), node protocol
-    /// errors, the round cap, or a deadlock diagnosis — the latter three
-    /// formatted identically to the interpreted executors.
-    pub fn run(&self, g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
-        self.run_obs(g, max_rounds, ObsSink::noop())
-    }
-
-    /// [`ExecPlan::run`] with an observability sink: dispatches, segment
-    /// fires, sink drains, classified wakes, and per-node stall attribution
-    /// are recorded into `obs`. The no-op sink costs one predictable branch
-    /// per event site (the `exec_bench --baseline` CI gate pins this).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecPlan::run`].
-    pub fn run_obs(
-        &self,
-        g: &mut Graph,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<ExecReport, MachineError> {
-        let mut resume = ResumeState::new();
-        let (report, _) = self.run_core(g, &mut resume, false, max_rounds, obs)?;
-        Ok(report)
-    }
-
-    /// [`ExecPlan::run_obs`] in suspend-at-quiescence mode: leftover
-    /// tokens yield [`RunStatus::Paused`] (channel rings and node state
-    /// stay live for the next feed) instead of a deadlock error. The same
-    /// [`ResumeState`] must drive every run of one streaming session; a
-    /// fresh state makes the first run seed every node exactly like
-    /// [`ExecPlan::run_obs`].
-    ///
-    /// # Errors
-    ///
-    /// Shape mismatch, node protocol errors, or the round cap. Leftover
-    /// tokens are the `Paused` status, not an error.
-    pub fn run_resumable_obs(
+    /// errors, or the round cap. Leftover tokens are the `Paused` status,
+    /// not an error.
+    pub fn run(
         &self,
         g: &mut Graph,
         resume: &mut ResumeState,
-        max_rounds: u64,
-        obs: &ObsSink,
-    ) -> Result<(ExecReport, RunStatus), MachineError> {
-        self.run_core(g, resume, true, max_rounds, obs)
-    }
-
-    fn run_core(
-        &self,
-        g: &mut Graph,
-        resume: &mut ResumeState,
-        suspend_at_quiescence: bool,
         max_rounds: u64,
         obs: &ObsSink,
     ) -> Result<(ExecReport, RunStatus), MachineError> {
@@ -502,13 +587,11 @@ impl ExecPlan {
         let mut events = IoEvents::default();
         let mut report = ExecReport::default();
 
-        // First run seeds every node (the one-shot behavior); a resumed
-        // run re-seeds only what can make progress: consumers of non-empty
-        // channels, allocator waiters, and nodes with internal pending
-        // input (fed sources) — mirroring the interpreter's rule, mapped
-        // through `wake_target` so segment members cost one bit.
+        // First run seeds every node; a resumed run re-seeds only what can
+        // make progress (see `ResumeState`), mapped through `wake_target`
+        // so segment members cost one bit.
         let mut ws = WakeSet::new(n);
-        if !resume.take_started() {
+        if !std::mem::replace(&mut resume.started, true) {
             for i in 0..n as u32 {
                 ws.seed(self.wake_target[i as usize]);
             }
@@ -599,23 +682,21 @@ impl ExecPlan {
             ws.next_count = 0;
         }
 
-        // Quiescent: every channel with a consumer should be drained.
-        // Under suspension leftover tokens are a pause, not a deadlock.
-        let stuck = self.stuck_channels_report(g);
-        if stuck.is_empty() {
-            return Ok((report, RunStatus::Finished));
-        }
-        if suspend_at_quiescence {
-            return Ok((report, RunStatus::Paused));
-        }
-        Err(MachineError::new(format!(
-            "deadlock at quiescence: {}",
-            stuck.join("; ")
-        )))
+        // Quiescent: tokens left on a channel somebody reads are a pause
+        // (more input may arrive); dangling outputs may legally keep theirs.
+        let stuck =
+            g.chans().iter().enumerate().any(|(ci, chan)| {
+                !chan.is_empty() && !self.consumers_of(ChanId(ci as u32)).is_empty()
+            });
+        let status = if stuck {
+            RunStatus::Paused
+        } else {
+            RunStatus::Finished
+        };
+        Ok((report, status))
     }
 
-    /// Fallback firing: identical to the interpreter's inner loop — budget
-    /// refresh, traced step, event-driven wakes.
+    /// Boxed firing: budget refresh, traced step, event-driven wakes.
     fn fire_boxed(
         &self,
         i: u32,
@@ -716,7 +797,7 @@ impl ExecPlan {
         }
         // Fused micro-ops may AllocPush (returns are non-stalling); that
         // state change is invisible on the channel network, so mirror the
-        // interpreter's allocator wake.
+        // boxed path's allocator wake.
         if g.mem.alloc_push_ops() != allocs_before {
             for &w in &self.alloc_waiters {
                 let t = self.wake_target[w as usize];
@@ -805,7 +886,7 @@ impl ExecPlan {
                 progressed = true;
             } else {
                 // Mixed data/barrier fronts are a structure mismatch, the
-                // same hard error the interpreted node raises.
+                // same hard error the boxed node raises.
                 for (i, &c) in ins.iter().enumerate() {
                     if chans[c.0 as usize].front().is_some_and(|t| t.is_data()) {
                         return Err(MachineError {
@@ -851,31 +932,6 @@ impl ExecPlan {
         }
         Ok(progressed)
     }
-
-    /// The plan-side copy of the interpreter's stuck-channel diagnosis
-    /// (same message format), using the flattened consumer lists.
-    fn stuck_channels_report(&self, g: &Graph) -> Vec<String> {
-        let mut stuck = Vec::new();
-        for (ci, chan) in g.chans().iter().enumerate() {
-            if chan.is_empty() {
-                continue;
-            }
-            let consumers = self.consumers_of(ChanId(ci as u32));
-            if consumers.is_empty() {
-                continue;
-            }
-            let labels: Vec<&str> = consumers
-                .iter()
-                .map(|&i| g.nodes()[i as usize].label.as_str())
-                .collect();
-            stuck.push(format!(
-                "channel #{ci} -> '{}': {} tokens pending",
-                labels.join(", "),
-                chan.len()
-            ));
-        }
-        stuck
-    }
 }
 
 #[cfg(test)]
@@ -885,6 +941,23 @@ mod tests {
     use crate::instr::{AluOp, Operand};
     use crate::nodes::{EwNode, SinkNode, SourceNode};
     use crate::tuple::{tbar, tdata, TTok};
+
+    /// One-shot run on `plan`, reading `Paused` as a deadlock.
+    fn run_once(
+        plan: &ExecPlan,
+        g: &mut Graph,
+        max_rounds: u64,
+    ) -> Result<ExecReport, MachineError> {
+        match plan.run(g, &mut ResumeState::new(), max_rounds, ObsSink::noop())? {
+            (report, RunStatus::Finished) => Ok(report),
+            (_, RunStatus::Paused) => Err(g.deadlock_error()),
+        }
+    }
+
+    /// One-shot run on the all-boxed reference plan.
+    fn run_unfused(g: &mut Graph, max_rounds: u64) -> Result<ExecReport, MachineError> {
+        run_once(&ExecPlan::build_unfused(g), g, max_rounds)
+    }
 
     fn add_one() -> EwNode {
         EwNode::new(
@@ -926,10 +999,16 @@ mod tests {
         (g, h)
     }
 
+    /// "Interpreted" here and below means the all-boxed plan
+    /// ([`ExecPlan::build_unfused`]): every node stepped through its boxed
+    /// behavior.
     #[test]
     fn fused_pipeline_matches_interpreted() {
         let (mut gi, hi) = chain(None);
-        let ri = gi.run_untimed(10_000).unwrap();
+        let unfused = ExecPlan::build_unfused(&gi).stats();
+        assert_eq!(unfused.boxed, unfused.nodes, "fusion off boxes every node");
+        assert_eq!(unfused.segments + unfused.fused_sinks, 0);
+        let ri = run_unfused(&mut gi, 10_000).unwrap();
         let (mut gp, hp) = chain(None);
         let plan = ExecPlan::build(&gp);
         let stats = plan.stats();
@@ -938,7 +1017,7 @@ mod tests {
         assert_eq!(stats.longest_segment, 3);
         assert_eq!(stats.fused_sinks, 1);
         assert_eq!(stats.boxed, 1, "only the source stays boxed");
-        let rp = gp.run_untimed_planned(&plan, 10_000).unwrap();
+        let rp = run_once(&plan, &mut gp, 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert!(rp.productive_steps > 0);
         assert!(
@@ -955,7 +1034,7 @@ mod tests {
         // fusing (fused pushes skip room checks); the plan must still
         // finish via the boxed fallback with back-pressure wakes.
         let (mut gi, hi) = chain(Some(1));
-        gi.run_untimed(10_000).unwrap();
+        run_unfused(&mut gi, 10_000).unwrap();
         let (mut gp, hp) = chain(Some(1));
         let plan = ExecPlan::build(&gp);
         assert!(
@@ -963,7 +1042,7 @@ mod tests {
             "source + the bounded-output stage stay boxed: {:?}",
             plan.stats()
         );
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        run_once(&plan, &mut gp, 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
     }
 
@@ -1003,12 +1082,12 @@ mod tests {
             (g, h0, h1)
         };
         let (mut gi, i0, i1) = build();
-        gi.run_untimed(10_000).unwrap();
+        run_unfused(&mut gi, 10_000).unwrap();
         let (mut gp, p0, p1) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(plan.stats().fused_ew, 1);
         assert_eq!(plan.stats().fused_sinks, 2);
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        run_once(&plan, &mut gp, 10_000).unwrap();
         assert_eq!(i0.tokens(), p0.tokens());
         assert_eq!(i1.tokens(), p1.tokens());
         assert!(!p1.tokens().iter().any(|t| t.is_barrier()), "stripped side");
@@ -1048,11 +1127,11 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        gi.run_untimed(10_000).unwrap();
+        run_unfused(&mut gi, 10_000).unwrap();
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(plan.stats().fused_ew, 1, "a zip head fuses too");
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        run_once(&plan, &mut gp, 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert_eq!(
             hp.tokens(),
@@ -1084,7 +1163,7 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        gi.run_untimed(10_000).unwrap();
+        run_unfused(&mut gi, 10_000).unwrap();
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
         assert_eq!(
@@ -1092,7 +1171,7 @@ mod tests {
             0,
             "AllocPop stages must not fuse (stall check needs the boxed path)"
         );
-        gp.run_untimed_planned(&plan, 10_000).unwrap();
+        run_once(&plan, &mut gp, 10_000).unwrap();
         assert_eq!(hi.tokens(), hp.tokens());
         assert_eq!(gi.mem.dram, gp.mem.dram);
     }
@@ -1120,10 +1199,10 @@ mod tests {
             g.add_node("sink", Box::new(sink), vec![c2], vec![]);
             g
         };
-        let ei = build().run_untimed(100).unwrap_err();
+        let ei = run_unfused(&mut build(), 100).unwrap_err();
         let mut gp = build();
         let plan = ExecPlan::build(&gp);
-        let ep = gp.run_untimed_planned(&plan, 100).unwrap_err();
+        let ep = run_once(&plan, &mut gp, 100).unwrap_err();
         assert_eq!(ei, ep, "identical deadlock diagnosis");
         assert!(ep.message.contains("deadlock"), "got: {ep}");
     }
@@ -1132,7 +1211,7 @@ mod tests {
     fn planned_round_cap_reported() {
         let (mut g, _h) = chain(None);
         let plan = ExecPlan::build(&g);
-        let err = g.run_untimed_planned(&plan, 0).unwrap_err();
+        let err = run_once(&plan, &mut g, 0).unwrap_err();
         assert!(err.message.contains("no quiescence"), "got: {err}");
     }
 
@@ -1148,7 +1227,7 @@ mod tests {
             vec![],
             vec![c],
         );
-        let err = other.run_untimed_planned(&plan, 100).unwrap_err();
+        let err = run_once(&plan, &mut other, 100).unwrap_err();
         assert!(err.message.contains("shape mismatch"), "got: {err}");
     }
 
@@ -1159,7 +1238,7 @@ mod tests {
         let plan = ExecPlan::build(&template);
         for _ in 0..3 {
             let mut inst = template.fresh_instance();
-            inst.run_untimed_planned(&plan, 10_000).unwrap();
+            run_once(&plan, &mut inst, 10_000).unwrap();
             let h = inst
                 .nodes()
                 .iter()
@@ -1210,10 +1289,10 @@ mod tests {
             (g, h)
         };
         let (mut gi, hi) = build();
-        let ei = gi.run_untimed(10_000);
+        let ei = run_unfused(&mut gi, 10_000);
         let (mut gp, hp) = build();
         let plan = ExecPlan::build(&gp);
-        let ep = gp.run_untimed_planned(&plan, 10_000);
+        let ep = run_once(&plan, &mut gp, 10_000);
         // The seeded loop token survives the run on both paths: identical
         // diagnosis, identical sink streams, identical leftovers.
         assert_eq!(ei.unwrap_err(), ep.unwrap_err());

@@ -1,9 +1,10 @@
-//! Scheduler-equivalence property tests: the event-driven ready-set
-//! executor, the retained dense-sweep reference, and the compiled
-//! execution plan ([`ExecPlan`]) must produce identical sink token streams
+//! Scheduler-equivalence property tests: the fused execution plan
+//! ([`ExecPlan::build`]) and the all-boxed reference plan
+//! ([`ExecPlan::build_unfused`]) must produce identical sink token streams
 //! and identical [`MemoryState`] on randomly generated acyclic graphs —
-//! Kahn determinism means results are independent of the order in which
-//! ready nodes are drained, and the plan's fused segments must be
+//! one-shot and fed in chunks. Kahn determinism means results are
+//! independent of the order in which ready nodes are drained and of how
+//! the input is split, and the plan's fused segments must be
 //! observationally invisible.
 //!
 //! The generator grows a DAG from one source by three count-preserving
@@ -26,6 +27,7 @@ use revet_machine::{
     tbar, tdata, Channel, ExecPlan, ExecReport, Graph, MemoryState, NodeId, ResumeState, RunStatus,
     TTok,
 };
+use revet_obs::ObsSink;
 
 /// One construction move, decoded from a raw u32.
 #[derive(Clone, Copy, Debug)]
@@ -193,52 +195,79 @@ fn snapshot(handles: &[SinkHandle]) -> Vec<Vec<TTok>> {
     handles.iter().map(|h| h.tokens()).collect()
 }
 
+/// One-shot run: a clean drain is required (generated DAGs never
+/// deadlock).
+fn run_once(plan: &ExecPlan, g: &mut Graph) -> ExecReport {
+    let (report, status) = plan
+        .run(g, &mut ResumeState::new(), 100_000, ObsSink::noop())
+        .unwrap();
+    assert_eq!(status, RunStatus::Finished, "one-shot run must drain");
+    report
+}
+
+/// Feeds `toks` into source `src` in the chunks `bounds` delimits, running
+/// `plan` to quiescence after each chunk; returns the last run's status.
+fn run_chunked(
+    plan: &ExecPlan,
+    g: &mut Graph,
+    src: NodeId,
+    toks: &[TTok],
+    bounds: &[usize],
+) -> RunStatus {
+    let mut resume = ResumeState::new();
+    let mut last = RunStatus::Finished;
+    for w in bounds.windows(2) {
+        g.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
+        (_, last) = plan.run(g, &mut resume, 100_000, ObsSink::noop()).unwrap();
+    }
+    last
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Three-way triangulation: ready-set, dense-sweep, and planned
-    /// executions of the same random DAG agree on every sink stream and on
-    /// the entire memory state (DRAM bytes, SRAM, allocators, and traffic
-    /// counters), while the ready set attempts no more steps than the
-    /// dense sweep. Every generated interior node is an `EwNode`, so the
-    /// plan exercises its fused path on the whole DAG (sources stay
-    /// boxed).
+    /// The fused and the unfused plan of the same random DAG agree on
+    /// every sink stream and on the entire memory state (DRAM bytes, SRAM,
+    /// allocators, and traffic counters), while the fused plan attempts no
+    /// more steps than the unfused one and does the same productive work
+    /// in no more dispatches. Every generated interior node is an
+    /// `EwNode`, so the fused plan exercises its fused path on the whole
+    /// DAG (sources stay boxed).
     #[test]
-    fn planned_matches_ready_matches_dense(
+    fn fused_plan_matches_unfused_plan(
         values in prop::collection::vec(0u32..100, 0..14),
         moves in prop::collection::vec(0u32..3_000_000, 0..18),
     ) {
-        let (mut dense_g, _, dense_h) = build(source_tokens(&values), &moves);
-        let dense: ExecReport = dense_g.run_untimed_dense(100_000).unwrap();
-        let (mut ready_g, _, ready_h) = build(source_tokens(&values), &moves);
-        let ready: ExecReport = ready_g.run_untimed(100_000).unwrap();
-        let (mut plan_g, _, plan_h) = build(source_tokens(&values), &moves);
-        let plan = ExecPlan::build(&plan_g);
-        plan_g.run_untimed_planned(&plan, 100_000).unwrap();
+        let (mut ug, _, uh) = build(source_tokens(&values), &moves);
+        let unfused_plan = ExecPlan::build_unfused(&ug);
+        let unfused = run_once(&unfused_plan, &mut ug);
+        let (mut fg, _, fh) = build(source_tokens(&values), &moves);
+        let fused_plan = ExecPlan::build(&fg);
+        let fused = run_once(&fused_plan, &mut fg);
 
-        let stats = plan.stats();
+        let stats = fused_plan.stats();
         prop_assert_eq!(
             stats.fused_ew + stats.fused_sinks + 1,
             stats.nodes,
             "everything but the source lowers: {:?}", stats
         );
+        let ustats = unfused_plan.stats();
+        prop_assert_eq!(ustats.boxed, ustats.nodes, "fusion off boxes every node");
 
-        prop_assert_eq!(snapshot(&dense_h), snapshot(&ready_h));
-        prop_assert_eq!(snapshot(&ready_h), snapshot(&plan_h));
-        prop_assert_eq!(&dense_g.mem, &ready_g.mem);
-        prop_assert_eq!(&ready_g.mem, &plan_g.mem);
-        // Step *grouping* is schedule-dependent (the ready set may fire a
-        // node at finer granularity), but total attempted work must not be.
+        prop_assert_eq!(snapshot(&uh), snapshot(&fh));
+        prop_assert_eq!(&ug.mem, &fg.mem);
+        // A fused segment fires all its stages in one dispatch, so fusion
+        // can only remove scheduler work.
         prop_assert!(
-            ready.steps <= dense.steps,
-            "ready set did more work ({} > {})", ready.steps, dense.steps
+            fused.steps <= unfused.steps,
+            "fused plan did more work ({} > {})", fused.steps, unfused.steps
         );
     }
 
     /// Streaming bit-identity on random DAGs: feeding the source stream in
     /// K chunks at arbitrary token boundaries — with a resumable run after
     /// each chunk — yields exactly the one-shot sink streams and memory
-    /// state, on both the interpreted and the planned executor. Chunking
+    /// state, on both the unfused and the fused plan. Chunking
     /// only perturbs the schedule, and Kahn semantics make the result
     /// schedule-independent; intermediate polls may legitimately pause
     /// with in-flight tokens, but the final poll must drain clean.
@@ -250,7 +279,7 @@ proptest! {
     ) {
         let toks = source_tokens(&values);
         let (mut one_g, _, one_h) = build(toks.clone(), &moves);
-        one_g.run_untimed(100_000).unwrap();
+        run_once(&ExecPlan::build_unfused(&one_g), &mut one_g);
 
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (toks.len() + 1)).collect();
         bounds.push(0);
@@ -258,31 +287,14 @@ proptest! {
         bounds.sort_unstable();
         bounds.dedup();
 
-        // Interpreted executor, chunked.
-        let (mut ig, src, ih) = build(Vec::new(), &moves);
-        let mut resume = ResumeState::new();
-        let mut last = RunStatus::Finished;
-        for w in bounds.windows(2) {
-            ig.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
-            (_, last) = ig.run_untimed_resumable(&mut resume, 100_000).unwrap();
+        // Both plans, chunked (each built once, before any input).
+        for fuse in [false, true] {
+            let (mut g, src, h) = build(Vec::new(), &moves);
+            let plan = if fuse { ExecPlan::build(&g) } else { ExecPlan::build_unfused(&g) };
+            let last = run_chunked(&plan, &mut g, src, &toks, &bounds);
+            prop_assert_eq!(last, RunStatus::Finished, "final drain (fused: {})", fuse);
+            prop_assert_eq!(snapshot(&one_h), snapshot(&h));
+            prop_assert_eq!(&one_g.mem, &g.mem);
         }
-        prop_assert_eq!(last, RunStatus::Finished, "interpreted final drain");
-        prop_assert_eq!(snapshot(&one_h), snapshot(&ih));
-        prop_assert_eq!(&one_g.mem, &ig.mem);
-
-        // Planned executor, chunked (plan built once, before any input).
-        let (mut pg, src, ph) = build(Vec::new(), &moves);
-        let plan = ExecPlan::build(&pg);
-        let mut resume = ResumeState::new();
-        let mut last = RunStatus::Finished;
-        for w in bounds.windows(2) {
-            pg.feed_source(src, toks[w[0]..w[1]].to_vec()).unwrap();
-            (_, last) = pg
-                .run_untimed_planned_resumable(&plan, &mut resume, 100_000)
-                .unwrap();
-        }
-        prop_assert_eq!(last, RunStatus::Finished, "planned final drain");
-        prop_assert_eq!(snapshot(&one_h), snapshot(&ph));
-        prop_assert_eq!(&one_g.mem, &pg.mem);
     }
 }

@@ -34,12 +34,9 @@
 //! per-instance DRAM copy scales with the pool instead of serializing on
 //! the caller.
 //!
-//! By default every instance executes through the compiled
-//! [`revet_machine::ExecPlan`] its program carries (fused segments, arena
-//! state — see the machine crate); [`BatchRunner::with_mode`] selects the
-//! boxed-node interpreter instead ([`ExecMode::Interpreted`]) for
-//! debugging or baseline benchmarking. Results are bit-identical either
-//! way.
+//! Every instance executes through the [`revet_machine::ExecPlan`] its
+//! program carries (`CompiledProgram::plan`: fused segments, arena state —
+//! see the machine crate).
 //!
 //! Execution is deterministic per instance: a
 //! [`revet_core::ProgramInstance`] owns all of its mutable state, so
@@ -89,22 +86,6 @@ const _: fn() = || {
 
 /// Default per-instance round cap (matches the evaluation harnesses).
 pub const DEFAULT_MAX_ROUNDS: u64 = 200_000_000;
-
-/// Which executor the pool drives each instance through. Both produce
-/// bit-identical results (sink streams and [`MemoryState`]); they differ
-/// only in dispatch cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The compiled execution plan ([`revet_machine::ExecPlan`]): fused
-    /// segments, arena state, bitmap wake set. The default — this is the
-    /// fast path every instance of a compile shares.
-    #[default]
-    Planned,
-    /// The event-driven boxed-node interpreter — the functional reference
-    /// the plan is differential-tested against, kept selectable for
-    /// debugging and benchmarking.
-    Interpreted,
-}
 
 /// One unit of batch work: which compiled program to instantiate and the
 /// `main` arguments to run the instance with. Jobs in one batch may
@@ -257,7 +238,6 @@ impl BatchReport {
 pub struct BatchRunner {
     threads: usize,
     max_rounds: u64,
-    mode: ExecMode,
 }
 
 impl BatchRunner {
@@ -271,7 +251,6 @@ impl BatchRunner {
         BatchRunner {
             threads: threads.max(1),
             max_rounds: DEFAULT_MAX_ROUNDS,
-            mode: ExecMode::default(),
         }
     }
 
@@ -279,14 +258,6 @@ impl BatchRunner {
     #[must_use]
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Selects which executor instances run on (default:
-    /// [`ExecMode::Planned`]).
-    #[must_use]
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -327,12 +298,11 @@ impl BatchRunner {
             (0..jobs.len()).map(|_| None).collect();
         if workers == 1 {
             for (slot, job) in slots.iter_mut().zip(jobs) {
-                *slot = Some(run_one(job, self.max_rounds, self.mode, obs));
+                *slot = Some(run_one(job, self.max_rounds, obs));
             }
         } else {
             let cursor = AtomicUsize::new(0);
             let max_rounds = self.max_rounds;
-            let mode = self.mode;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -344,7 +314,7 @@ impl BatchRunner {
                             loop {
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some(job) = jobs.get(i) else { break };
-                                done.push((i, run_one(job, max_rounds, mode, &local)));
+                                done.push((i, run_one(job, max_rounds, &local)));
                             }
                             (done, local)
                         })
@@ -396,7 +366,6 @@ impl BatchRunner {
 fn run_one(
     job: &BatchJob<'_>,
     max_rounds: u64,
-    mode: ExecMode,
     obs: &ObsSink,
 ) -> Result<InstanceResult, MachineError> {
     let start = Instant::now();
@@ -414,10 +383,7 @@ fn run_one(
         };
         inst.graph.mem.dram[*base..end].copy_from_slice(bytes);
     }
-    let report = match mode {
-        ExecMode::Planned => inst.run_untimed_obs(&job.args, max_rounds, obs)?,
-        ExecMode::Interpreted => inst.run_untimed_interpreted_obs(&job.args, max_rounds, obs)?,
-    };
+    let report = inst.run_untimed_obs(&job.args, max_rounds, obs)?;
     let sink = inst.sink_tokens();
     let wall = start.elapsed();
     if obs.is_enabled() {
@@ -578,16 +544,16 @@ mod tests {
         assert!(report.results[1].is_ok());
     }
 
+    /// The pool runs whichever plan the program carries: the compiled,
+    /// fused one and the all-boxed ("interpreted") reference agree.
     #[test]
     fn planned_and_interpreted_modes_agree_bit_for_bit() {
         let program = squares_program();
+        let mut unfused = squares_program();
+        unfused.plan = Arc::new(revet_machine::ExecPlan::build_unfused(&unfused.graph));
         let argsets: Vec<Vec<Word>> = (1..=6).map(|n| vec![Word(n)]).collect();
-        let planned = BatchRunner::new(2)
-            .with_mode(ExecMode::Planned)
-            .run_same(&program, &argsets);
-        let interp = BatchRunner::new(2)
-            .with_mode(ExecMode::Interpreted)
-            .run_same(&program, &argsets);
+        let planned = BatchRunner::new(2).run_same(&program, &argsets);
+        let interp = BatchRunner::new(2).run_same(&unfused, &argsets);
         assert_eq!(planned.ok_count(), 6);
         assert_eq!(interp.ok_count(), 6);
         for (p, i) in planned.results.iter().zip(&interp.results) {
@@ -595,8 +561,8 @@ mod tests {
             assert_eq!(p.mem, i.mem, "DRAM/SRAM must be bit-identical");
             assert_eq!(p.sink, i.sink);
             // The plan collapses fused-segment dispatch into single
-            // firings, so it never attempts more steps than the
-            // interpreter.
+            // firings, so it never attempts more steps than the all-boxed
+            // plan.
             assert!(p.report.steps <= i.report.steps);
         }
     }

@@ -2,10 +2,10 @@
 //! pool must yield sink streams and [`MemoryState`]s **bit-identical** to N
 //! sequential single-threaded runs.
 //!
-//! This extends the PR 2 scheduler-equivalence discipline
+//! This extends the scheduler-equivalence discipline
 //! (`crates/machine/tests/scheduler_equiv.rs`) one layer up: there, the
-//! ready-set executor was pinned to the dense-sweep reference on one
-//! graph; here, the parallel batch runtime is pinned to the sequential
+//! fused execution plan is pinned to the unfused reference on one graph;
+//! here, the parallel batch runtime is pinned to the sequential
 //! instance loop on whole compiled programs. Both rest on the same Kahn
 //! argument — every instance owns all of its mutable state, so thread
 //! scheduling can change only *when* work happens, never *what* it

@@ -268,9 +268,9 @@ impl fmt::Display for Ragged {
 /// Removes barriers implied by canonical form: an Ωj immediately followed by
 /// an Ωk with `k > j` is dropped when the token before the Ωj is data.
 ///
-/// This is the normative canonicalization rule from DESIGN.md §5; removing a
-/// barrier after another barrier would merge distinct empty sub-tensors, so
-/// only data-preceded barriers are removable.
+/// This is the normative canonicalization rule of the SLTF encoding;
+/// removing a barrier after another barrier would merge distinct empty
+/// sub-tensors, so only data-preceded barriers are removable.
 pub fn canonicalize(tokens: Vec<Token>) -> Vec<Token> {
     let mut out: Vec<Token> = Vec::with_capacity(tokens.len());
     for tok in tokens {
